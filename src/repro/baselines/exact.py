@@ -1,4 +1,4 @@
-"""Exact full-scan engine (ground truth / slowest baseline)."""
+"""Exact engine (ground truth): the sorted-attribute exact executor as a baseline."""
 
 from __future__ import annotations
 
@@ -9,7 +9,12 @@ from repro.queries.query_function import QueryFunction
 
 
 class ExactScan(AQPMethod):
-    """Answers every query exactly by scanning the full dataset."""
+    """Answers every query exactly through :class:`~repro.queries.executor.ExactEngine`.
+
+    Axis-range queries scan only their narrowest attribute span of a
+    sorted-attribute index the engine builds on its first batch; other
+    predicates scan every row.
+    """
 
     name = "exact"
 
@@ -26,6 +31,7 @@ class ExactScan(AQPMethod):
         return self._qf(Q)
 
     def num_bytes(self) -> int:
+        """The raw table plus, once built, the engine's sorted-attribute index."""
         if self._qf is None:
             raise RuntimeError("ExactScan is not fitted")
-        return self._qf.dataset.size_bytes()
+        return self._qf.dataset.size_bytes() + self._qf.engine.index_bytes()

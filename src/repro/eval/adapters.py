@@ -18,7 +18,7 @@ define are gone. What remains here is:
 Registered estimators:
 
 - ``neurosketch`` — the paper's method (kd-tree + per-leaf MLPs).
-- ``exact`` — full-scan ground truth (accuracy 0 by construction; its value
+- ``exact`` — exact-engine ground truth (accuracy 0 by construction; its value
   is the latency/storage reference point).
 - ``rtree`` — an R-tree over the *full* dataset: exact answers through the
   index, i.e. the no-sampling limit of TREE-AGG.

@@ -1,15 +1,19 @@
 """Exact query-function evaluation.
 
-This is the "ground truth" engine: it computes ``f_D(q)`` by scanning the
-data, vectorized over queries. For axis-aligned ranges and moment-based
-aggregates (COUNT/SUM/AVG/STD/VAR) it uses a blocked matrix path: the
-``(queries, rows)`` match matrix for a chunk of queries is accumulated one
-attribute at a time — each step broadcasts a data *column* against the
-chunk's bounds, so every temporary is 2-D and the ``(q, rows, d)`` cube the
-naive broadcast would materialize never exists — and the per-query count /
-sum / sum-of-squares then fall out of a single matmul against a
-``(rows, 3)`` moment matrix. For everything else it falls back to a
-per-query masked evaluation.
+This is the "ground truth" engine: it computes ``f_D(q)`` exactly. Axis-
+aligned ranges go through a sorted-attribute index, built once per engine on
+the first axis-range batch: every attribute's stable sort permutation plus
+its sorted values, O(n·d) memory. For each query the engine binary-searches
+the half-open ``[lo, hi)`` span of every attribute, scans only the rows
+inside the narrowest span, and filters them by the remaining attributes,
+most selective first, with the same ``>= lo`` / ``< hi`` tests — inactive
+attributes included, so a row at exactly 1.0 matches nothing. (An attribute
+whose span holds every row filters nothing and is skipped.) The matched rows
+are then aggregated in storage order by the
+:class:`~repro.queries.aggregates.Aggregate` itself, so an answer depends
+only on the matched row set: not on which attribute was scanned, nor on
+which other queries share the batch, and it equals the naive per-query mask
+bit for bit. Other predicates fall back to a per-query masked evaluation.
 
 The paper uses an equivalent scan (Section 4.2, "a typical algorithm
 iterates over the points in the database ... checks whether it matches the
@@ -20,16 +24,53 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.queries.aggregates import (
-    MOMENT_AGGREGATES,
-    Aggregate,
-    get_aggregate,
-    moment_aggregate_batch,
-)
+from repro.queries.aggregates import Aggregate, get_aggregate
 from repro.queries.predicates import AxisRangePredicate, Predicate
 
-#: Cap on |queries| x |rows| per block in the vectorized path (~64MB of bool).
-_BLOCK_CELLS = 8_000_000
+
+class SortedAttributeIndex:
+    """Each attribute's stable sort permutation and sorted values over ``X``."""
+
+    def __init__(self, X: np.ndarray) -> None:
+        order = np.argsort(X, axis=0, kind="stable")
+        self.X = X
+        #: ``(d, n)``: row ids of ``X`` in ascending order of each attribute.
+        self.order = np.ascontiguousarray(order.T)
+        #: ``(d, n)``: each attribute's values in that order.
+        self.values = np.ascontiguousarray(np.take_along_axis(X, order, axis=0).T)
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.order.nbytes + self.values.nbytes)
+
+    def answer(
+        self,
+        measure: np.ndarray,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        aggregate: Aggregate,
+    ) -> np.ndarray:
+        """Exact answers for ``(m, d)`` bounds ``lo``/``hi`` (see module doc)."""
+        n = self.X.shape[0]
+        start = np.stack([np.searchsorted(v, b) for v, b in zip(self.values, lo.T)], axis=1)
+        stop = np.stack([np.searchsorted(v, b) for v, b in zip(self.values, hi.T)], axis=1)
+        width = stop - start
+        by_width = np.argsort(width, axis=1, kind="stable")
+        out = np.empty(lo.shape[0], dtype=np.float64)
+        per_query = zip(
+            by_width.tolist(), start.tolist(), stop.tolist(), width.tolist(),
+            lo.tolist(), hi.tolist(),
+        )
+        for i, (attrs, a, b, w, lo_i, hi_i) in enumerate(per_query):
+            j = attrs[0]
+            rows = self.order[j, a[j]:b[j]]
+            for k in attrs[1:]:
+                if w[k] == n or not rows.size:
+                    break
+                x = self.X[rows, k]
+                rows = rows[(x >= lo_i[k]) & (x < hi_i[k])]
+            out[i] = aggregate(measure[np.sort(rows)])
+        return out
 
 
 def evaluate_axis_range_batch(
@@ -53,47 +94,7 @@ def evaluate_axis_range_batch(
     aggregate:
         Resolved aggregate object.
     """
-    n = X.shape[0]
-    m = lo.shape[0]
-    d = X.shape[1]
-    out = np.empty(m, dtype=np.float64)
-    q_block = max(1, _BLOCK_CELLS // max(1, n))
-    use_moments = aggregate.name in MOMENT_AGGREGATES
-
-    # One gemm per block answers COUNT, SUM and SUM(x^2) together.
-    moments = None
-    if use_moments:
-        moments = np.empty((n, 3), dtype=np.float64)
-        moments[:, 0] = 1.0
-        moments[:, 1] = measure
-        np.multiply(measure, measure, out=moments[:, 2])
-    scratch = np.empty((min(m, q_block), n), dtype=bool)
-    for start in range(0, m, q_block):
-        stop = min(m, start + q_block)
-        b = stop - start
-        # (b, n) match matrix, accumulated per attribute: column-vs-bounds
-        # broadcasts keep every temporary 2-D (the 3-D cube of the naive
-        # all-attributes-at-once broadcast is ~d times the traffic).
-        mask = None
-        step = scratch[:b]
-        for j in range(d):
-            xj = X[:, j]
-            np.greater_equal(xj, lo[start:stop, j, None], out=step)
-            if mask is None:
-                mask = step.copy()
-            else:
-                mask &= step
-            np.less(xj, hi[start:stop, j, None], out=step)
-            mask &= step
-        if use_moments:
-            agg = mask.astype(np.float64) @ moments
-            out[start:stop] = moment_aggregate_batch(
-                aggregate.name, agg[:, 0], agg[:, 1], agg[:, 2]
-            )
-        else:
-            for i in range(b):
-                out[start + i] = aggregate(measure[mask[i]])
-    return out
+    return SortedAttributeIndex(X).answer(measure, lo, hi, aggregate)
 
 
 def evaluate_predicate_batch(
@@ -125,6 +126,7 @@ class ExactEngine:
             raise ValueError("X must be (n, d) and measure (n,) with matching n")
         self.X = X
         self.measure = measure
+        self._index: SortedAttributeIndex | None = None
 
     def answer(self, predicate: Predicate, Q: np.ndarray, aggregate) -> np.ndarray:
         """Exact answers for a batch of queries ``Q`` (shape ``(m, param_dim)``)."""
@@ -132,9 +134,15 @@ class ExactEngine:
         Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
         if isinstance(predicate, AxisRangePredicate):
             lo, hi = predicate.batch_bounds(Q)
-            return evaluate_axis_range_batch(self.X, self.measure, lo, hi, aggregate)
+            if self._index is None:
+                self._index = SortedAttributeIndex(self.X)
+            return self._index.answer(self.measure, lo, hi, aggregate)
         return evaluate_predicate_batch(self.X, self.measure, predicate, Q, aggregate)
 
     def answer_one(self, predicate: Predicate, q: np.ndarray, aggregate) -> float:
         """Exact answer for a single query."""
         return float(self.answer(predicate, np.atleast_2d(q), aggregate)[0])
+
+    def index_bytes(self) -> int:
+        """Bytes of the sorted-attribute index; 0 until an axis-range batch builds it."""
+        return 0 if self._index is None else self._index.nbytes

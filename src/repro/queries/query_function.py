@@ -45,7 +45,7 @@ class QueryFunction:
         self.predicate = predicate
         self.aggregate = get_aggregate(aggregate)
         self.measure = measure if measure is not None else dataset.measure
-        self._engine = ExactEngine(dataset.X, dataset.column(self.measure))
+        self.engine = ExactEngine(dataset.X, dataset.column(self.measure))
 
     # ------------------------------------------------------------ constructors
 
@@ -87,14 +87,14 @@ class QueryFunction:
 
     def __call__(self, Q: np.ndarray) -> np.ndarray:
         """Exact answers ``f_D(q)`` for a batch of query vectors."""
-        return self._engine.answer(self.predicate, Q, self.aggregate)
+        return self.engine.answer(self.predicate, Q, self.aggregate)
 
     def answer_one(self, q: np.ndarray) -> float:
-        return self._engine.answer_one(self.predicate, q, self.aggregate)
+        return self.engine.answer_one(self.predicate, q, self.aggregate)
 
     def selectivity(self, Q: np.ndarray) -> np.ndarray:
         """Fraction of rows matched per query (diagnostics, Lemma 3.6's ξ)."""
-        counts = self._engine.answer(self.predicate, Q, "COUNT")
+        counts = self.engine.answer(self.predicate, Q, "COUNT")
         return counts / self.dataset.n
 
     def with_aggregate(self, aggregate: Union[str, Aggregate]) -> "QueryFunction":

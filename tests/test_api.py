@@ -105,7 +105,9 @@ def test_baseline_estimator_wrapper_warns_and_delegates(problem):
     est.fit(qf, Q, y)
     np.testing.assert_allclose(est.predict(Q), y)
     assert est.predict_one(Q[0]) == pytest.approx(y[0])
-    assert est.num_bytes() == qf.dataset.size_bytes()
+    # The fixture's labels built the engine's sorted-attribute index.
+    assert qf.engine.index_bytes() > 0
+    assert est.num_bytes() == qf.dataset.size_bytes() + qf.engine.index_bytes()
 
 
 def test_register_estimator_round_trip():

@@ -20,7 +20,9 @@ def test_exact_scan_is_ground_truth(problem):
     qf, Q, y = problem
     est = ExactScan().fit(qf, Q, y)
     np.testing.assert_allclose(est.predict(Q), y)
-    assert est.num_bytes() == qf.dataset.size_bytes()
+    # The fixture's labels built the engine's sorted-attribute index.
+    assert qf.engine.index_bytes() > 0
+    assert est.num_bytes() == qf.dataset.size_bytes() + qf.engine.index_bytes()
 
 
 def test_rtree_box_query_matches_linear_scan():
