@@ -13,7 +13,6 @@ from repro.core.compiled import CompiledSketch, FlatTree
 from repro.core.complexity import average_query_change, leaf_aqcs, normalized_aqc_std
 from repro.core.merging import merge_leaves
 from repro.core.neurosketch import NeuroSketch
-from repro.core.search import ArchitectureSearch, SearchResult
 
 __all__ = [
     "KDNode",
@@ -25,6 +24,4 @@ __all__ = [
     "normalized_aqc_std",
     "merge_leaves",
     "NeuroSketch",
-    "ArchitectureSearch",
-    "SearchResult",
 ]

@@ -27,9 +27,9 @@ server would actually run:
     (``BOX_CELL_CAP``) — and the segment schedule comes from an in-place
     sort of packed ``slot * m + row`` keys in a preallocated arena: no
     argsort, no per-call index allocations. Batches below
-    ``SMALL_BATCH_ROWS`` skip scheduling and run the scalar kernel; the
-    allocating argsort schedule remains as ``forward_batch`` (the
-    ``sched_fuse_speedup`` baseline and the multi-group path).
+    ``SMALL_BATCH_ROWS`` skip scheduling and run the scalar kernel.
+    Mixed-architecture engines route once and run each weight group's
+    rows through the same kernel.
   * **SIMD-padded stacks** — at fuse time, hidden (and fused bias-lane)
     widths of the execution plan are padded up to multiples of
     ``SIMD_LANES`` with exact-zero columns so every segment matmul runs
@@ -53,9 +53,8 @@ server would actually run:
   * **scratch arenas** — activation buffers, routing buffers and the
     scalar-path workspace are preallocated and reused across calls, so the
     steady-state serving path performs no per-call tensor allocations
-    beyond the returned answers (the fused schedule routes, sorts and
-    scatters entirely inside the arenas; the argsort fallback additionally
-    allocates O(m) index metadata).
+    beyond the returned answers (the schedule routes, sorts and scatters
+    entirely inside the arenas).
 
 The engine serializes its *canonical* form — unfused float64 weights plus
 scaler statistics, exactly the PR-2 payload plus a ``dtype`` tag — so
@@ -303,25 +302,14 @@ class FlatTree:
 
     # ---------------------------------------------------------------- routing
 
-    def route_batch(
-        self, Q: np.ndarray, node: np.ndarray | None = None, rows: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Leaf ids for ``(m, d)`` queries; one vectorized step per level.
-
-        ``node`` (int64, length >= m) and ``rows`` (an ``arange`` of length
-        >= m) are optional scratch buffers a caller may preallocate; the
-        remaining per-level temporaries are O(m) and short-lived.
-        """
+    def route_batch(self, Q: np.ndarray) -> np.ndarray:
+        """Leaf ids for ``(m, d)`` queries; one vectorized step per level."""
         Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
         m = Q.shape[0]
         if m == 0:
             return np.empty(0, dtype=np.int64)
-        if node is None:
-            node = np.zeros(m, dtype=np.int64)
-        else:
-            node = node[:m]
-            node[:] = 0
-        rows = np.arange(m) if rows is None else rows[:m]
+        node = np.zeros(m, dtype=np.int64)
+        rows = np.arange(m)
         for _ in range(self._depth):
             # go_left uses <= exactly like route_one; a leaf's table entries
             # self-loop, so settled queries step in place.
@@ -510,7 +498,6 @@ class _LeafGroup:
         "y_mean",
         "y_scale",
         "dtype_name",
-        "pad_widths",
         "_dtype",
         "_A",
         "_slot_A",
@@ -545,7 +532,6 @@ class _LeafGroup:
         y_mean: np.ndarray,
         y_scale: np.ndarray,
         dtype: str = "float64",
-        pad_widths: bool = True,
     ) -> None:
         self.layer_sizes = list(layer_sizes)
         self.leaf_ids = list(leaf_ids)
@@ -574,7 +560,6 @@ class _LeafGroup:
                 f"{self.y_mean.shape}/{self.y_scale.shape}"
             )
         self.dtype_name = str(dtype)
-        self.pad_widths = bool(pad_widths)
         self._dtype = resolve_dtype(self.dtype_name)
         self._build_plan()
         # Batch arena grows on demand (geometrically) and is reused across
@@ -600,14 +585,14 @@ class _LeafGroup:
         which perturbs float64 answers at the 1e-14 level, two orders inside
         the 1e-12 parity budget.
 
-        With ``pad_widths`` (the default), each augmented tensor's row and
-        column counts are rounded up to multiples of :data:`SIMD_LANES` with
-        exact-zero entries: the extra input columns hold 0, the extra weight
-        rows/columns hold 0, the ones-lane stays at column ``fan_out``, and
-        ``relu(0) == 0`` carries the zero lanes through the net — so every
-        matmul runs on aligned shapes while the arithmetic result only picks
-        up exact ``+0.0`` terms. The final layer's output column count is
-        never padded (answers stay a single column).
+        Each augmented tensor's row and column counts are rounded up to
+        multiples of :data:`SIMD_LANES` with exact-zero entries: the extra
+        input columns hold 0, the extra weight rows/columns hold 0, the
+        ones-lane stays at column ``fan_out``, and ``relu(0) == 0`` carries
+        the zero lanes through the net — so every matmul runs on aligned
+        shapes while the arithmetic result only picks up exact ``+0.0``
+        terms. The final layer's output column count is never padded
+        (answers stay a single column).
         """
         inv = 1.0 / self.x_scale
         fused_W = [w for w in self.W]
@@ -618,8 +603,7 @@ class _LeafGroup:
         fused_b[-1] = fused_b[-1] * self.y_scale[:, None] + self.y_mean[:, None]
         g = len(self.leaf_ids)
         n_aff = len(fused_W)
-        lanes = SIMD_LANES if self.pad_widths else 1
-        up = lambda n: -(-n // lanes) * lanes  # noqa: E731
+        up = lambda n: -(-n // SIMD_LANES) * SIMD_LANES  # noqa: E731
         A: list[np.ndarray] = []
         for li, (w, bias) in enumerate(zip(fused_W, fused_b)):
             fan_in, fan_out = w.shape[1], w.shape[2]
@@ -642,10 +626,9 @@ class _LeafGroup:
         self._x_one = np.zeros(self._rows0, dtype=self._dtype)
         self._x_one[self.layer_sizes[0]] = 1.0
 
-    def with_dtype(self, dtype: str, pad_widths: bool | None = None) -> "_LeafGroup":
+    def with_dtype(self, dtype: str) -> "_LeafGroup":
         """This group lowered to another tier (canonical arrays are shared)."""
-        pw = self.pad_widths if pad_widths is None else bool(pad_widths)
-        if dtype == self.dtype_name and pw == self.pad_widths:
+        if dtype == self.dtype_name:
             return self
         return _LeafGroup(
             self.layer_sizes,
@@ -657,7 +640,6 @@ class _LeafGroup:
             self.y_mean,
             self.y_scale,
             dtype=dtype,
-            pad_widths=pw,
         )
 
     def replicate(self) -> "_LeafGroup":
@@ -679,7 +661,6 @@ class _LeafGroup:
         rep.y_mean = self.y_mean
         rep.y_scale = self.y_scale
         rep.dtype_name = self.dtype_name
-        rep.pad_widths = self.pad_widths
         rep._dtype = self._dtype
         rep._A = self._A
         rep._slot_A = self._slot_A
@@ -710,7 +691,7 @@ class _LeafGroup:
         qflat.reshape(cap, d1)[:, self.layer_sizes[0]] = 1.0
         self._qflat = qflat
         self._hflat = [np.empty(cap * c, dtype=self._dtype) for c in self._cols]
-        # Key-sort schedule arenas (see ``forward_batch_sched``).
+        # Key-sort schedule arenas (see ``forward_batch``).
         self._ord = np.empty(cap, dtype=np.int64)
         self._dest = np.empty(cap, dtype=np.int64)
         # Stacked-matmul arenas (see ``_forward_bmm``): the inflation guard
@@ -741,67 +722,11 @@ class _LeafGroup:
 
     # ---------------------------------------------------------------- forward
 
-    def forward_batch(self, Q: np.ndarray, slots: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Answers for queries ``Q`` where ``slots[i]`` is each query's
-        within-group leaf slot (sort-segmented schedule).
-
-        Queries are argsorted by slot once; each layer then runs one
-        contiguous matmul per occupied slot-segment over the arena buffers,
-        ReLU fires once per layer across the whole sorted batch, and the
-        final column scatters back through the permutation. Not re-entrant
-        (arena reuse) — :class:`CompiledSketch` serializes callers.
-        """
-        m = Q.shape[0]
-        if out is None:
-            out = np.empty(m, dtype=np.float64)
-        if m == 0:
-            return out
-        self._ensure_arena(m)
-        d = self.layer_sizes[0]
-        X = self._qflat[: m * self._rows0].reshape(m, self._rows0)
-        counts = np.bincount(slots, minlength=self.n_leaves)
-        if counts.max() == m:
-            # Single occupied slot (hot leaf, or a routed sub-batch): the
-            # batch is one segment already — skip the sort and the scatter.
-            order = None
-            X[:, :d] = Q
-            segs = [slice(0, m)]
-            plans = [self._slot_A[int(slots[0])]]
-        else:
-            order = np.argsort(slots, kind="stable")
-            X[:, :d] = Q[order]
-            used = np.flatnonzero(counts)
-            segs = []
-            plans = []
-            s0 = 0
-            for slot, s1 in zip(used.tolist(), np.cumsum(counts[used]).tolist()):
-                segs.append(slice(s0, s1))
-                plans.append(self._slot_A[slot])
-                s0 = s1
-        self.fb_batches += 1
-        self.fb_rows += m
-        self.fb_segments += len(segs)
-        H = X
-        hflat, cols, matmul = self._hflat, self._cols, np.matmul
-        n_aff = len(self._A)
-        last = n_aff - 1
-        for li in range(n_aff):
-            O = hflat[li][: m * cols[li]].reshape(m, cols[li])
-            for seg, plan in zip(segs, plans):
-                matmul(H[seg], plan[li], out=O[seg])
-            if li != last:
-                np.maximum(O, 0.0, out=O)
-            H = O
-        if order is None:
-            out[:] = H[:, 0]
-        else:
-            out[order] = H[:, 0]
-        return out
-
-    def forward_batch_sched(
+    def forward_batch(
         self, Q: np.ndarray, slots: np.ndarray, rows: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
-        """Fused-schedule batch kernel: counting sort, no argsort, no allocs.
+        """Answers for queries ``Q`` where ``slots[i]`` is each query's
+        within-group leaf slot: counting sort, no argsort, no allocs.
 
         The segment schedule is emitted directly from the routing result:
         rows are counting-sorted by leaf slot through an in-place sort of
@@ -865,9 +790,8 @@ class _LeafGroup:
             # ~1.5us per avoided gemm call). Heavily skewed or sparse
             # batches keep the per-segment loop.
             g = self.n_leaves
-            lanes = SIMD_LANES if self.pad_widths else 1
-            block_r = -(-block // lanes) * lanes
-            if len(segs) == g and g * block_r <= m + (m >> 1) + g * lanes:
+            block_r = -(-block // SIMD_LANES) * SIMD_LANES
+            if len(segs) == g and g * block_r <= m + (m >> 1) + g * SIMD_LANES:
                 return self._forward_bmm(Q, slots, dest, segs, block_r, out)
             X[dest, :d] = Q
         H = X
@@ -898,7 +822,7 @@ class _LeafGroup:
         block_r: int,
         out: np.ndarray,
     ) -> np.ndarray:
-        """Stacked-matmul tail of :meth:`forward_batch_sched`.
+        """Stacked-matmul tail of :meth:`forward_batch`.
 
         Rows scatter into a zero-padded ``(n_leaves, block_r, width)``
         arena (slot ``k``'s segment occupies rows ``[k*block_r, ...)`` of
@@ -1181,11 +1105,6 @@ class CompiledSketch:
         # created on demand up to ``max_replicas``. Checked-out contexts are
         # exclusive, so concurrent predicts never share mutable state.
         self.max_replicas = DEFAULT_MAX_REPLICAS
-        #: ``True`` (default) routes batches through the fused
-        #: route->segment scheduler (counting sort into arenas, small-batch
-        #: scalar fast path); ``False`` keeps the PR-5 argsort schedule —
-        #: the ``sched_fuse_speedup`` BENCH baseline.
-        self.fused_schedule = True
         self.epoch = 0
         self._pool = threading.Condition()
         # Workload observation counters, drained from contexts at check-in:
@@ -1307,7 +1226,6 @@ class CompiledSketch:
         y_scaler=None,
         leaf_ids: list[int] | None = None,
         dtype: str = "float64",
-        pad_widths: bool = True,
     ) -> "CompiledSketch":
         """Build directly from an already-stacked model set.
 
@@ -1324,8 +1242,6 @@ class CompiledSketch:
         weight tensors, no unstack/restack round-trip through per-leaf MLP
         objects. The slots must cover *every* tree leaf
         (mixed-architecture sketches go through :meth:`from_sketch` instead).
-        ``pad_widths`` is the SIMD-padding knob handed to the leaf group
-        (see :data:`SIMD_LANES`); canonical weights stay unpadded either way.
         """
         resolve_dtype(dtype)
         flat = tree if isinstance(tree, FlatTree) else FlatTree.from_tree(tree)
@@ -1359,7 +1275,6 @@ class CompiledSketch:
             y_mean,
             y_scale,
             dtype=dtype,
-            pad_widths=pad_widths,
         )
         leaf_group = np.zeros(flat.n_leaves, dtype=np.int64)
         leaf_slot = np.empty(flat.n_leaves, dtype=np.int64)
@@ -1367,42 +1282,18 @@ class CompiledSketch:
             leaf_slot[lid] = slot
         return cls(flat, [group], leaf_group, leaf_slot, input_dim)
 
-    @property
-    def pad_widths(self) -> bool:
-        """Whether this engine's execution plan uses SIMD-padded widths."""
-        return self.groups[0].pad_widths
-
-    def with_dtype(
-        self,
-        dtype: str,
-        pad_widths: bool | None = None,
-        fused_schedule: bool | None = None,
-    ) -> "CompiledSketch":
-        """This sketch on another execution tier (tree and weights shared).
-
-        ``pad_widths``/``fused_schedule`` override the kernel knobs on the
-        returned engine (``None`` inherits); the BENCH harness uses them to
-        time the unpadded and unfused baselines against the same weights.
-        """
+    def with_dtype(self, dtype: str) -> "CompiledSketch":
+        """This sketch on another execution tier (tree and weights shared)."""
         resolve_dtype(dtype)
-        fs = self.fused_schedule if fused_schedule is None else bool(fused_schedule)
-        pw = self.pad_widths if pad_widths is None else bool(pad_widths)
-        if dtype == self.dtype_name and pw == self.pad_widths and fs == self.fused_schedule:
+        if dtype == self.dtype_name:
             return self
-        groups = [g.with_dtype(dtype, pad_widths=pw) for g in self.groups]
-        if any(g is mine for g, mine in zip(groups, self.groups)):
-            # Same plan, different schedule flag: replicate so the two
-            # engines' primary contexts never share mutable arenas.
-            groups = [g.replicate() for g in groups]
-        eng = CompiledSketch(
+        return CompiledSketch(
             self.tree,
-            groups,
+            [g.with_dtype(dtype) for g in self.groups],
             self.leaf_group,
             self.leaf_slot,
             self.input_dim,
         )
-        eng.fused_schedule = fs
-        return eng
 
     # --------------------------------------------------------------- predict
 
@@ -1580,41 +1471,36 @@ class CompiledSketch:
         out = np.empty(m, dtype=np.float64)
         ctx = self._checkout()
         try:
-            if m == 1:
-                # Single-row batches (the service's uncached ask path) skip
-                # routing/segmentation and run the scalar kernel, so a
-                # 1-query ``predict`` and ``predict_one`` answer identically.
-                out[0] = self._predict_one_ctx(ctx, Q[0])
-                return out
-            if self.fused_schedule and m < SMALL_BATCH_ROWS:
+            if m < SMALL_BATCH_ROWS:
                 # Small-batch fast path: at this scale the scheduling
                 # overhead exceeds the gemm advantage, so run the scalar
-                # kernel row by row (same-leaf warm-start included).
+                # kernel row by row (same-leaf warm-start included). A
+                # 1-query ``predict`` and ``predict_one`` answer identically.
                 for i in range(m):
                     out[i] = self._predict_one_ctx(ctx, Q[i])
                 return out
             ctx.ensure_arena(m)
-            if self.fused_schedule and len(ctx.groups) == 1:
-                if not Q.flags.c_contiguous:
-                    Q = np.ascontiguousarray(Q)
-                slots = ctx.tree.route_batch_into(Q, ctx)
-                if not ctx.slot_identity:
-                    slots = np.take(ctx.leaf_slot, slots, out=ctx._slots[:m])
-                ctx.groups[0].forward_batch_sched(Q, slots, ctx._rows[:m], out=out)
-                return out
-            leaves = ctx.tree.route_batch(Q, node=ctx._node, rows=ctx._rows)
+            if not Q.flags.c_contiguous:
+                Q = np.ascontiguousarray(Q)
+            leaves = ctx.tree.route_batch_into(Q, ctx)
+            rows = ctx._rows
             if len(ctx.groups) == 1:
-                if ctx.slot_identity:
-                    slots = leaves
-                else:
+                slots = leaves
+                if not ctx.slot_identity:
                     slots = np.take(ctx.leaf_slot, leaves, out=ctx._slots[:m])
-                ctx.groups[0].forward_batch(Q, slots, out=out)
+                ctx.groups[0].forward_batch(Q, slots, rows[:m], out=out)
                 return out
+            # Mixed architectures (e.g. a constant-mean fallback leaf): each
+            # group runs its routed rows through the same kernel.
+            slots = np.take(ctx.leaf_slot, leaves, out=ctx._slots[:m])
             gid = ctx.leaf_group[leaves]
             for g, group in enumerate(ctx.groups):
                 sel = np.flatnonzero(gid == g)
                 if sel.size:
-                    out[sel] = group.forward_batch(Q[sel], ctx.leaf_slot[leaves[sel]])
+                    k = sel.size
+                    out[sel] = group.forward_batch(
+                        Q[sel], slots[sel], rows[:k], out=np.empty(k)
+                    )
         finally:
             self._checkin(ctx)
         return out

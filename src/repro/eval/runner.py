@@ -842,21 +842,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
             batch["dtype"] = estimator.infer_dtype
             batch["padded_batch_s"] = padded["batch_s"]
             batch["speedup_vs_padded"] = padded["batch_s"] / batch["batch_s"]
-
-            # Kernel-knob ablations: the served engine re-lowered with SIMD
-            # width padding off, and with the fused route->segment scheduler
-            # off (the legacy route -> argsort -> segment path). Each ratio
-            # is ablated-time / served-time, so > 1 means the knob pays off
-            # on this workload (see the README's BENCH-field glossary).
-            say(f"timing {name} kernel ablations (pad widths, fused schedule)")
-            nopad = served.with_dtype(served.dtype_name, pad_widths=False)
-            t_nopad = time_batch(nopad.predict, Q_test, repeats=batch_repeats)
-            batch["unpadded_batch_s"] = t_nopad["batch_s"]
-            batch["padded_width_speedup"] = t_nopad["batch_s"] / batch["batch_s"]
-            legacy = served.with_dtype(served.dtype_name, fused_schedule=False)
-            t_legacy = time_batch(legacy.predict, Q_test, repeats=batch_repeats)
-            batch["legacy_sched_batch_s"] = t_legacy["batch_s"]
-            batch["sched_fuse_speedup"] = t_legacy["batch_s"] / batch["batch_s"]
             tier_pred = {}
             for tier in ("float64", "float32"):
                 engine = estimator.compile(dtype=tier)

@@ -331,7 +331,6 @@ class StackedTrainResult:
         tree,
         leaf_ids: list[int] | None = None,
         dtype: str = "float64",
-        pad_widths: bool = True,
     ):
         """Hand the trained stack straight to the compiled inference engine.
 
@@ -340,10 +339,7 @@ class StackedTrainResult:
         statistics go in as-is (no unstack/restack round-trip) and the
         engine fuses the scalers into its execution plan at construction.
         ``leaf_ids[k]`` names the tree leaf held by stack slot ``k``
-        (default: slot order is leaf-id order). ``pad_widths`` flows
-        through to the engine's SIMD-padding knob: the fused plan tensors
-        are padded to lane multiples at hand-off while the stack's
-        canonical weights stay unpadded.
+        (default: slot order is leaf-id order).
         """
         from repro.core.compiled import CompiledSketch
 
@@ -354,7 +350,6 @@ class StackedTrainResult:
             y_scaler=self.y_scaler,
             leaf_ids=leaf_ids,
             dtype=dtype,
-            pad_widths=pad_widths,
         )
 
 

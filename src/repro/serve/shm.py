@@ -208,7 +208,6 @@ def _sketch_blocks(engine) -> tuple[dict, dict[str, np.ndarray]]:
         "input_dim": engine.input_dim,
         "n_groups": len(engine.groups),
         "plan_dtype": engine.dtype_name,
-        "plan_pad_widths": bool(engine.pad_widths),
     }
     return meta, arrays
 
@@ -378,9 +377,7 @@ def attach_sketch(uri: str, dtype: str | None = None):
         sketch = CompiledSketch.from_npz_payload(
             arrays, header["n_groups"], header["input_dim"], dtype=tier
         )
-        if tier == header.get("plan_dtype") and bool(sketch.pad_widths) == bool(
-            header.get("plan_pad_widths")
-        ):
+        if tier == header.get("plan_dtype"):
             for gi, group in enumerate(sketch.groups):
                 plans = [arrays[f"g{gi}_plan{li}"] for li in range(len(group._A))]
                 if all(p.shape == a.shape for p, a in zip(plans, group._A)):

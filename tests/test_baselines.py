@@ -57,6 +57,15 @@ def test_verdict_rejects_unsupported_aggregate(problem):
     assert not verdict.supports(qf.with_aggregate("MEDIAN"))
 
 
+def test_verdict_raises_not_implemented_for_std(problem):
+    qf, Q, y = problem
+    est = VerdictLite(sample_size=0.5, seed=0).fit(qf.with_aggregate("STD"), Q, y)
+    with pytest.raises(NotImplementedError, match="STD"):
+        est.predict(Q)
+    with pytest.raises(NotImplementedError, match="STD"):
+        est.predict_one(Q[0])
+
+
 def test_uniform_estimator_predicts_training_mean(problem):
     qf, Q, y = problem
     est = UniformAnswerEstimator().fit(qf, Q, y)

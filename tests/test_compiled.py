@@ -222,8 +222,8 @@ def test_compile_rejects_non_mlp_leaf_models():
 
 def test_skewed_batch_takes_per_leaf_path_with_parity():
     """One hot leaf plus one-query stragglers: padding would inflate memory
-    by ~n_leaves, so forward_batch drops to the per-leaf loop — answers must
-    still match the object path."""
+    by ~n_leaves, so forward_batch_padded drops to the per-leaf loop —
+    answers must still match the object path."""
     ns, Q, rng = make_sketch(seed=21, dim=2, height=5, n=1200)
     compiled = ns.compile()
     leaves = compiled.tree.route_batch(Q)

@@ -1,20 +1,20 @@
-"""Kernel pass contracts: SIMD width padding and fused scheduling.
+"""Kernel contracts: SIMD width padding and the fused batch schedule.
 
-Property-style coverage for the two engine-side kernel knobs on top of
-the tier suite (``test_compiled_tiers.py``):
+Property-style coverage of the engine's one batch schedule on top of the
+tier suite (``test_compiled_tiers.py``):
 
 - **Padding is a pure view-time transform.** The fused plan tensors are
   padded to :data:`~repro.core.compiled.SIMD_LANES` multiples with
-  *exact-zero* rows/columns (asserted bit-level), the canonical float64
-  weights and the serialized form stay unpadded, and answers match the
-  unpadded lowering bitwise on both tiers — across skewed merged trees,
-  1-D inputs, deep ``h=6`` trees and off-distribution batches that leave
-  leaves empty.
-- **Fused scheduling is equivalent to the legacy schedule.** The fused
-  route->segment path (box routing + in-place key sort) returns exactly
-  what the legacy route -> argsort -> segments path returns, the
-  small-batch fast path agrees with the scalar kernel, and the
-  steady-state batch path does not grow the heap per call.
+  *exact-zero* rows/columns (asserted bit-level) and the canonical float64
+  weights and the serialized form stay unpadded.
+- **The fused schedule matches the reference oracle.** Box routing +
+  in-place key sort (+ the stacked-matmul tail) answers within the parity
+  budgets of :meth:`~repro.core.compiled.CompiledSketch.predict_padded`
+  (unpadded canonical weights, unfused scalers) and of the object path —
+  across skewed merged trees, 1-D inputs, deep ``h=6`` trees,
+  mixed-architecture engines and off-distribution batches that leave
+  leaves empty. The small-batch fast path agrees with the scalar kernel,
+  and the steady-state batch path does not grow the heap per call.
 """
 
 import tracemalloc
@@ -32,7 +32,11 @@ from repro.nn.training import TrainConfig
 F32_TOL = 1e-5
 
 
-def make_sketch(seed=0, dim=3, height=3, partitions=None, n=160, depth=3):
+#: Documented float64 parity budget against the reference paths.
+F64_TOL = 1e-12
+
+
+def make_sketch(seed=0, dim=3, height=3, partitions=None, n=160, depth=3, mixed=False):
     rng = np.random.default_rng(seed)
     Q = rng.uniform(0.0, 1.0, size=(n, dim))
     y = rng.normal(size=n)
@@ -46,25 +50,45 @@ def make_sketch(seed=0, dim=3, height=3, partitions=None, n=160, depth=3):
         seed=seed,
     )
     ns.fit(Q_train=Q, y_train=y)
+    if mixed:
+        # Empty one leaf's training slice and retrain: it gets the [d, 1]
+        # constant-mean fallback, so the engine holds two weight groups.
+        ns.tree.leaves()[0].indices = np.empty(0, dtype=np.int64)
+        ns._compiled = {}
+        ns._train_leaves(Q, y, np.random.default_rng(seed), ns.train_backend)
+        assert len(ns.compile().groups) == 2
     return ns, Q, rng
 
 
-#: The property grid: skewed merged trees, 1-D input, a deep h=6 tree.
+#: The property grid: skewed merged trees, 1-D input, a deep h=6 tree, a
+#: single leaf and a mixed-architecture (two weight groups) engine.
 GRID = [
     dict(seed=0, dim=3, height=4, partitions=5),  # merged, skewed leaf sizes
     dict(seed=1, dim=1, height=3),                # 1-D routing
     dict(seed=2, dim=2, height=6, n=400),         # deep tree, 64 leaves
     dict(seed=3, dim=4, height=0),                # single leaf
+    dict(seed=5, dim=3, height=3, mixed=True),    # [d, 1] fallback leaf
 ]
+IDS = ["merged", "1d", "deep", "single", "mixed"]
+
+
+def parity_batches(Q, rng):
+    """The training batch, a skewed batch (squared uniforms pile onto
+    low-coordinate leaves, leaving others empty) and off-distribution rows
+    that exercise the box-routing bounds; all at least SMALL_BATCH_ROWS."""
+    return [
+        Q,
+        rng.uniform(0.0, 1.0, size=(200, Q.shape[1])) ** 2,
+        rng.uniform(-0.5, 1.5, size=(64, Q.shape[1])),
+    ]
 
 
 # ------------------------------------------------------------ width padding
 
 
-@pytest.mark.parametrize("params", GRID, ids=["merged", "1d", "deep", "single"])
+@pytest.mark.parametrize("params", GRID, ids=IDS)
 def test_pad_columns_exactly_zero_after_fusion(params):
     engine = make_sketch(**params)[0].compile().with_dtype("float32")
-    assert engine.pad_widths
     for group in engine.groups:
         sizes = group.layer_sizes
         n_aff = len(group._A)
@@ -86,31 +110,26 @@ def test_pad_columns_exactly_zero_after_fusion(params):
                 assert np.all(a[:, :, fan_out + 1 :] == 0.0)
 
 
-@pytest.mark.parametrize("params", GRID, ids=["merged", "1d", "deep", "single"])
+@pytest.mark.parametrize("params", GRID, ids=IDS)
 def test_padded_f64_matches_unpadded_f64_within_parity_budget(params):
-    # The padded matmuls only add exact-zero terms, but BLAS blocks the
+    # The SIMD-padded plan only adds exact-zero terms, but BLAS blocks the
     # K dimension differently for padded shapes, so summation order (and
-    # hence the last ulp) can move. The repo-wide f64 parity budget is
-    # 1e-12; padding must stay far inside it.
+    # hence the last ulp) can move against the unpadded canonical weights
+    # the reference oracle runs. The repo-wide f64 parity budget is 1e-12.
     ns, Q, rng = make_sketch(**params)
-    padded = ns.compile().with_dtype("float64", pad_widths=True)
-    unpadded = padded.with_dtype("float64", pad_widths=False)
-    for batch in (Q, rng.uniform(-0.5, 1.5, size=(64, Q.shape[1]))):
-        a, b = padded.predict(batch), unpadded.predict(batch)
-        assert normalized_max_abs_diff(a, b) <= 1e-12
+    engine = ns.compile().with_dtype("float64")
+    for batch in parity_batches(Q, rng):
+        a, b = engine.predict(batch), engine.predict_padded(batch)
+        assert normalized_max_abs_diff(a, b) <= F64_TOL
 
 
-@pytest.mark.parametrize("params", GRID, ids=["merged", "1d", "deep", "single"])
+@pytest.mark.parametrize("params", GRID, ids=IDS)
 def test_padded_f32_stays_within_documented_bound(params):
-    ns, Q, _ = make_sketch(**params)
-    f64 = ns.compile()
-    f32 = f64.with_dtype("float32", pad_widths=True)
-    diff = normalized_max_abs_diff(f32.predict(Q), f64.predict(Q))
-    assert diff <= F32_TOL
-    # Padding itself must not push the f32 tier anywhere near the bound:
-    # padded vs unpadded f32 differ only by gemm summation order.
-    f32_off = f64.with_dtype("float32", pad_widths=False)
-    assert normalized_max_abs_diff(f32.predict(Q), f32_off.predict(Q)) <= 1e-6
+    ns, Q, rng = make_sketch(**params)
+    f32 = ns.compile().with_dtype("float32")
+    for batch in parity_batches(Q, rng):
+        diff = normalized_max_abs_diff(f32.predict(batch), f32.predict_padded(batch))
+        assert diff <= F32_TOL
 
 
 def test_canonical_weights_and_serialization_stay_unpadded(tmp_path):
@@ -129,40 +148,26 @@ def test_canonical_weights_and_serialization_stay_unpadded(tmp_path):
     assert np.array_equal(again.predict(Q), engine.predict(Q))
 
 
-def test_stack_compile_pad_widths_passthrough():
-    ns, Q, _ = make_sketch(seed=4, dim=2, height=3)
-    base = ns.compile()
-    rebuilt = base  # the estimator path compiles with padding on
-    assert rebuilt.pad_widths
-    off = base.with_dtype(base.dtype_name, pad_widths=False)
-    assert not off.pad_widths
-    assert normalized_max_abs_diff(off.predict(Q), base.predict(Q)) <= 1e-12
-
-
 # ---------------------------------------------------------- fused schedule
 
 
-@pytest.mark.parametrize("params", GRID, ids=["merged", "1d", "deep", "single"])
+@pytest.mark.parametrize("params", GRID, ids=IDS)
 @pytest.mark.parametrize("tier", ["float64", "float32"])
 def test_fused_schedule_matches_legacy_schedule(params, tier):
+    # The legacy schedule here is the per-leaf object path the engine was
+    # compiled from (the padded oracle is checked above). The float32 tier is
+    # also held to its own scalar kernel, which runs the same padded plan
+    # tensors, so an f32-only batch-schedule error cannot hide inside F32_TOL.
     ns, Q, rng = make_sketch(**params)
     fused = ns.compile().with_dtype(tier)
-    assert fused.fused_schedule
-    legacy = fused.with_dtype(tier, fused_schedule=False)
-    # Skewed batches (squared uniforms pile onto low-coordinate leaves,
-    # leaving others empty) and off-distribution rows exercise the
-    # empty-leaf segments and the box-routing bounds. The two schedules
-    # run the same per-segment gemms over differently-sliced arenas, so
-    # answers agree to the tier's parity budget (last-ulp gemm wiggle).
-    batches = [
-        Q,
-        rng.uniform(0.0, 1.0, size=(200, Q.shape[1])) ** 2,
-        rng.uniform(-0.5, 1.5, size=(64, Q.shape[1])),
-    ]
-    for batch in batches:
-        a, b = fused.predict(batch), legacy.predict(batch)
-        assert a.shape == b.shape
-        assert normalized_max_abs_diff(a, b) <= (1e-12 if tier == "float64" else 1e-6)
+    tol = F64_TOL if tier == "float64" else F32_TOL
+    for batch in parity_batches(Q, rng):
+        a = fused.predict(batch)
+        assert a.shape == (batch.shape[0],)
+        assert normalized_max_abs_diff(a, ns.predict(batch)) <= tol
+        if tier == "float32":
+            scalar = np.array([fused.predict_one(q) for q in batch])
+            assert normalized_max_abs_diff(a, scalar) <= 1e-6
 
 
 def test_small_batch_fast_path_agrees_with_scalar_kernel():
@@ -200,16 +205,3 @@ def test_batch_path_is_allocation_free_steady_state():
     # the arena contract keeps net growth to stray small objects.
     assert retained < 64 * 1024, f"batch path retained {retained} bytes over 50 calls"
     assert out.shape == (500,)
-
-
-def test_fused_toggle_and_replicas_do_not_share_arenas():
-    ns, Q, _ = make_sketch(seed=1, dim=2, height=3)
-    fused = ns.compile().with_dtype("float32")
-    legacy = fused.with_dtype("float32", fused_schedule=False)
-    assert legacy is not fused and not legacy.fused_schedule
-    # Interleaved calls on both engines: shared arenas would corrupt one
-    # another's scratch state mid-sequence.
-    a1 = fused.predict(Q)
-    b1 = legacy.predict(Q)
-    a2 = fused.predict(Q)
-    assert np.array_equal(a1, a2) and np.array_equal(a1, b1)
