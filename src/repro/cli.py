@@ -46,6 +46,7 @@ from repro.eval.reporting import (
     write_bench_json,
 )
 from repro.eval.runner import ExperimentConfig, run_experiment
+from repro.serve.worker import parse_max_batch, service_from_args
 
 
 def _parse_estimators(spec: str) -> tuple[str, ...]:
@@ -53,17 +54,6 @@ def _parse_estimators(spec: str) -> tuple[str, ...]:
     if not names:
         raise argparse.ArgumentTypeError("expected a comma-separated estimator list")
     return names
-
-
-def _parse_max_batch(spec: str) -> int | str:
-    """Micro-batch flush trigger: an integer or ``auto`` (segment-stats
-    driven, see :class:`repro.serve.batching.MicroBatcher`)."""
-    if spec.strip().lower() == "auto":
-        return "auto"
-    try:
-        return int(spec)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {spec!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=4,
                        help="micro-batch flush workers; each concurrent flush "
                             "uses its own engine replica")
-    serve.add_argument("--max-batch", type=_parse_max_batch, default=64,
+    serve.add_argument("--max-batch", type=parse_max_batch, default=64,
                        help="micro-batch size flush trigger: an integer, or "
                             "'auto' to derive it from the engine's observed "
                             "segment-size distribution")
@@ -343,23 +333,32 @@ def _parse_query_vector(values: list[str]) -> np.ndarray:
 
 
 def _stdio_loop(service, max_line_bytes: int, timeout_s: float) -> None:
-    # One frame -> one response; answer_frame never raises and encode_safe
-    # never emits bare NaN JSON. The socket transport has its asyncio twin
-    # in :meth:`repro.serve.server.SketchServer._serve_frame`.
+    # One frame -> one response through the handler every front end shares;
+    # answer_line never raises and encode_safe never emits bare NaN JSON.
     from repro.serve import protocol
-    from repro.serve.worker import answer_frame
 
     for raw in sys.stdin:
         if not raw.strip():
             continue
-        response = answer_frame(service, raw.strip(), max_line_bytes, timeout_s)
+        response = service.answer_line(raw.strip(), max_line_bytes, timeout_s)
         print(protocol.encode_safe(response), flush=True)
+
+
+def _serve_until_interrupted(handle) -> None:
+    """Block until SIGINT, then drain and stop a socket front end."""
+    import threading
+
+    try:
+        threading.Event().wait()
+    except KeyboardInterrupt:
+        print("[repro serve] draining...", file=sys.stderr)
+    finally:
+        handle.stop()
+    print("[repro serve] stopped", file=sys.stderr)
 
 
 def _serve_sharded(args: argparse.Namespace, max_line_bytes: int) -> int:
     """``repro serve --listen ... --processes N``: the multi-process router."""
-    import threading
-
     from repro.serve import prepare_worker_artifact, start_router_thread
     from repro.serve.client import parse_address
 
@@ -397,26 +396,20 @@ def _serve_sharded(args: argparse.Namespace, max_line_bytes: int) -> int:
             os.unlink(artifact)
         return _operator_error(exc)
     bound = "{}:{}".format(*handle.address)
-    shared = handle.router.router_stats().get("shared_weights")
+    shared = handle.server.router_stats().get("shared_weights")
     via = f" (weights shared via {shared['uri']})" if shared else ""
     print(f"[repro serve] loaded {args.sketch}; routing {bound} across "
           f"{args.processes} worker processes{via}", file=sys.stderr)
     try:
-        threading.Event().wait()  # serve until interrupted
-    except KeyboardInterrupt:
-        print("[repro serve] draining...", file=sys.stderr)
+        _serve_until_interrupted(handle)
     finally:
-        handle.stop()
         if artifact != args.sketch:
             os.unlink(artifact)
-    print("[repro serve] stopped", file=sys.stderr)
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import threading
-
-    from repro.serve import SketchService, load_sketch, protocol, start_server_thread
+    from repro.serve import load_sketch, protocol, start_server_thread
     from repro.serve.client import parse_address
 
     if args.listen and args.stdio:
@@ -436,15 +429,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except (OSError, ValueError, EOFError) as exc:
         return _operator_error(exc)
     try:
-        service = SketchService(
-            max_batch_size=args.max_batch,
-            max_delay_s=args.max_delay_ms / 1e3,
-            cache=not args.no_cache,
-            cache_resolution=args.cache_resolution,
-            cache_exact=args.cache_exact,
-            workers=args.workers,
-            allow_mutations=args.mutable,
-        )
+        service = service_from_args(args)
         service.register("default", sketch)
     except ValueError as exc:  # bad cache/batch/worker knobs
         return _operator_error(exc)
@@ -472,13 +457,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"[repro serve] loaded {args.sketch}; listening on {bound} "
           f"({args.workers} workers)", file=sys.stderr)
     try:
-        threading.Event().wait()  # serve until interrupted
-    except KeyboardInterrupt:
-        print("[repro serve] draining...", file=sys.stderr)
+        _serve_until_interrupted(handle)
     finally:
-        handle.stop()
         service.close()
-    print("[repro serve] stopped", file=sys.stderr)
     return 0
 
 
@@ -566,6 +547,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             return _operator_error(exc)
         print(json.dumps(summary, sort_keys=True))
         return 0
+    from repro.serve.service import ingest_summary
     from repro.stream import load_stream_sketch
 
     try:
@@ -579,17 +561,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         sketch.save_npz(out)
     except (OSError, ValueError, EOFError) as exc:
         return _operator_error(exc)
-    summary = {
-        "op": "+".join(r.op for r in results),
-        "appended": sum(r.appended for r in results),
-        "deleted": sum(r.deleted for r in results),
-        "dirty_leaves": sorted({l for r in results for l in r.dirty_leaves}),
-        "retrained_leaves": sorted({l for r in results for l in r.retrained_leaves}),
-        "swapped": any(r.swapped for r in results),
-        "epoch": results[-1].epoch,
-        "data_version": results[-1].data_version,
-    }
-    print(json.dumps(summary, sort_keys=True))
+    print(json.dumps(ingest_summary(results), sort_keys=True))
     print(f"wrote {out}", file=sys.stderr)
     return 0
 

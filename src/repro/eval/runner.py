@@ -444,8 +444,7 @@ def _time_service_concurrent(estimator, Q_test, config) -> dict:
         for tier in tiers:
             for c in range(n_clients):
                 svc.register(f"{tier}-c{c}", engines[tier])
-        handle = start_server_thread(svc)
-        try:
+        with start_server_thread(svc) as handle:
             expected = {
                 tier: np.asarray(engines[tier].predict(Q_test), dtype=np.float64)
                 for tier in tiers
@@ -463,8 +462,6 @@ def _time_service_concurrent(estimator, Q_test, config) -> dict:
             out["parity_max_abs_diff"] = {
                 tier: float(np.max(diffs[tier])) for tier in tiers
             }
-        finally:
-            handle.stop()
 
     # --- throughput + latency: one shared entry on the served tier ---
     served = engines[config.infer_dtype]
@@ -475,8 +472,7 @@ def _time_service_concurrent(estimator, Q_test, config) -> dict:
     # size trigger rarely fires, so the deadline is the latency floor.
     with SketchService(cache=False, workers=min(n_clients, 8), max_delay_s=5e-4) as svc:
         svc.register("bench", served)
-        handle = start_server_thread(svc)
-        try:
+        with start_server_thread(svc) as handle:
             def sustained_worker(i: int, barrier) -> None:
                 with Client.connect(handle.address) as client:
                     barrier.wait(timeout=60.0)
@@ -506,8 +502,6 @@ def _time_service_concurrent(estimator, Q_test, config) -> dict:
                 out["replicas"] = engine_stats["replicas"]
                 out["max_replicas"] = engine_stats["max_replicas"]
             out["workers"] = svc.workers
-        finally:
-            handle.stop()
 
     # --- scaling: the sharding router at each worker process count ---
     if config.service_processes and callable(getattr(served, "save_npz", None)):
@@ -528,10 +522,9 @@ def _time_service_concurrent(estimator, Q_test, config) -> dict:
                     "--workers", str(max(1, min(n_clients, 8) // int(n_proc))),
                     "--max-delay-ms", "0.5",
                 )
-                handle = start_router_thread(
+                with start_router_thread(
                     artifact, processes=int(n_proc), worker_args=worker_args
-                )
-                try:
+                ) as handle:
                     diffs = {tier: np.zeros(n_clients) for tier in tiers}
 
                     def shard_parity_worker(i: int, barrier) -> None:
@@ -563,7 +556,7 @@ def _time_service_concurrent(estimator, Q_test, config) -> dict:
                     # Weight-memory accounting, measured while the shards
                     # are warm from the sustained run: every worker's PSS
                     # plus the shared weight block's split-out mappings.
-                    stats = handle.router.router_stats()
+                    stats = handle.server.router_stats()
                     shared = stats.get("shared_weights")
                     pids = [
                         w["pid"] for w in stats["workers"] if w["pid"] is not None
@@ -587,8 +580,6 @@ def _time_service_concurrent(estimator, Q_test, config) -> dict:
                             ),
                         }
                     scaling.append(entry)
-                finally:
-                    handle.stop()
         finally:
             os.unlink(artifact)
         out["scaling"] = scaling

@@ -20,12 +20,7 @@ CLI front-ends.
 from repro.serve.batching import MicroBatcher
 from repro.serve.cache import AnswerCache
 from repro.serve.client import Client, ServerError
-from repro.serve.router import (
-    RouterHandle,
-    SketchRouter,
-    prepare_worker_artifact,
-    start_router_thread,
-)
+from repro.serve.router import SketchRouter, prepare_worker_artifact, start_router_thread
 from repro.serve.server import ServerHandle, SketchServer, start_server_thread
 from repro.serve.service import ImmutableSketchError, SketchService, load_sketch
 from repro.serve.shm import ShmPublisher, attach_sketch, publish_sketch
@@ -35,7 +30,6 @@ __all__ = [
     "Client",
     "ImmutableSketchError",
     "MicroBatcher",
-    "RouterHandle",
     "ServerError",
     "ServerHandle",
     "ShmPublisher",

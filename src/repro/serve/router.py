@@ -48,10 +48,11 @@ map one resident copy of the model instead of holding N private ones
 (``share_weights=False`` or any shm failure falls back to the ``.npz``
 copy-on-boot path).
 
-:func:`start_router_thread` mirrors
-:func:`~repro.serve.server.start_server_thread` for embedding: the CLI
-(``repro serve --listen ... --processes N``), the eval runner's scaling
-bench and the tests all use it.
+:func:`start_router_thread` returns the same
+:class:`~repro.serve.server.ServerHandle` as
+:func:`~repro.serve.server.start_server_thread`, with the router as its
+``server``: the CLI (``repro serve --listen ... --processes N``), the
+eval runner's scaling bench and the tests all embed it that way.
 """
 
 from __future__ import annotations
@@ -61,10 +62,10 @@ import os
 import subprocess
 import sys
 import tempfile
-import threading
 
 from repro.serve import protocol
 from repro.serve.protocol import ErrorResponse
+from repro.serve.server import ServerHandle, listen, read_frames, run_in_thread
 
 #: Write-buffer bound per client connection; a consumer that falls this
 #: far behind is aborted instead of buffering the router into the ground.
@@ -287,13 +288,9 @@ class SketchRouter:
             await self._shutdown_workers()
             self._close_publisher()
             raise
-        self._server = await asyncio.start_server(
-            self._handle_conn,
-            self.host,
-            self.port,
-            limit=self.max_line_bytes + 1024,
+        self._server, self.address = await listen(
+            self._handle_conn, self.host, self.port, self.max_line_bytes
         )
-        self.address = self._server.sockets[0].getsockname()[:2]
 
     async def _spawn(self, w: _Worker) -> None:
         loop = asyncio.get_running_loop()
@@ -340,7 +337,7 @@ class SketchRouter:
         # loaded the original artifact, and ingests apply deterministically,
         # so replaying the log in order reproduces the fleet's exact state.
         for frame in self._ingest_log:
-            self._dispatch_entry(w, _Broadcast(None, 0, 1), frame)
+            self._send(w, _Broadcast(None, 0, 1), frame)
         self._flush_orphans(w)
 
     async def stop(self, drain: bool = True) -> None:
@@ -465,15 +462,8 @@ class SketchRouter:
         self._conns.add(conn)
         self.n_connections += 1
         try:
-            while True:
-                try:
-                    line = await reader.readuntil(b"\n")
-                except asyncio.IncompleteReadError as exc:
-                    line = exc.partial  # EOF; a final unterminated frame counts
-                    if not line.strip():
-                        break
-                except asyncio.LimitOverrunError:
-                    await _discard_to_newline(reader)
+            async for line in read_frames(reader):
+                if line is None:
                     self._local_error(
                         conn,
                         conn.take_seq(),
@@ -481,20 +471,13 @@ class SketchRouter:
                         code="oversized",
                     )
                     continue
-                except (ConnectionResetError, BrokenPipeError):
-                    break
-                stripped = line.rstrip(b"\r\n")
-                if not stripped.strip():
-                    if not line.endswith(b"\n"):
-                        break
-                    continue
                 self.n_requests += 1
                 seq = conn.take_seq()
-                if len(stripped) > self.max_line_bytes:
+                if len(line) > self.max_line_bytes:
                     self._local_error(
                         conn,
                         seq,
-                        f"request line of {len(stripped)} bytes exceeds the "
+                        f"request line of {len(line)} bytes exceeds the "
                         f"{self.max_line_bytes}-byte bound",
                         code="oversized",
                     )
@@ -503,9 +486,7 @@ class SketchRouter:
                         conn, seq, "server is draining", code="shutting-down"
                     )
                 else:
-                    await self._forward(conn, seq, stripped)
-                if not line.endswith(b"\n"):
-                    break  # that was the EOF frame
+                    await self._forward(conn, seq, line)
         finally:
             conn.closed = True
             conn.buffer.clear()
@@ -536,7 +517,7 @@ class SketchRouter:
             # next worker to boot picks it up.
             self._orphans.append((conn, seq, frame))
             return
-        self._dispatch(w, conn, seq, frame)
+        self._send(w, (conn, seq, frame), frame)
         try:
             await w.stdin.drain()  # per-connection backpressure toward shards
         except (ConnectionResetError, BrokenPipeError, OSError):
@@ -558,7 +539,7 @@ class SketchRouter:
         self._ingest_log.append(frame)
         bc = _Broadcast(conn, seq, len(alive))
         for w in alive:
-            self._dispatch_entry(w, bc, frame)
+            self._send(w, bc, frame)
         for w in alive:
             if w.stdin is None:
                 continue
@@ -567,12 +548,10 @@ class SketchRouter:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    def _dispatch(self, w: _Worker, conn: _Conn, seq: int, frame: bytes) -> None:
-        self._dispatch_entry(w, (conn, seq, frame), frame)
-
-    def _dispatch_entry(
+    def _send(
         self, w: _Worker, entry: tuple[_Conn, int, bytes] | _Broadcast, frame: bytes
     ) -> None:
+        """Write ``frame`` to ``w`` under a fresh rid that maps back to ``entry``."""
         self._rid += 1
         rid = self._rid
         w.pending[rid] = entry
@@ -589,9 +568,9 @@ class SketchRouter:
                 # this one worker *is* the whole alive fleet; the log entry
                 # catches the others up when they respawn.
                 self._ingest_log.append(frame)
-                self._dispatch_entry(w, _Broadcast(conn, seq, 1), frame)
+                self._send(w, _Broadcast(conn, seq, 1), frame)
             else:
-                self._dispatch(w, conn, seq, frame)
+                self._send(w, (conn, seq, frame), frame)
 
     # ------------------------------------------------------- worker side
 
@@ -689,7 +668,7 @@ class SketchRouter:
                 if alive is None:
                     self._orphans.append((conn, seq, frame))
                 else:
-                    self._dispatch(alive, conn, seq, frame)
+                    self._send(alive, (conn, seq, frame), frame)
         if w.proc is not None:
             loop = asyncio.get_running_loop()
             try:
@@ -761,56 +740,6 @@ class SketchRouter:
                 self._local_error(conn, seq, message, code="shutting-down")
 
 
-async def _discard_to_newline(reader: asyncio.StreamReader) -> None:
-    """Drop the rest of an over-limit line without buffering it whole."""
-    while True:
-        try:
-            await reader.readuntil(b"\n")
-            return
-        except asyncio.LimitOverrunError as exc:
-            await reader.readexactly(exc.consumed)
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            return
-
-
-# ---------------------------------------------------------- thread embedding
-
-
-class RouterHandle:
-    """A running router on its own event-loop thread (mirrors ServerHandle)."""
-
-    def __init__(
-        self,
-        router: SketchRouter,
-        loop: asyncio.AbstractEventLoop,
-        thread: threading.Thread,
-    ) -> None:
-        self.router = router
-        self._loop = loop
-        self._thread = thread
-        self._stopped = False
-
-    @property
-    def address(self) -> tuple[str, int]:
-        assert self.router.address is not None
-        return self.router.address
-
-    def stop(self, drain: bool = True, timeout: float = 60.0) -> None:
-        if self._stopped:
-            return
-        self._stopped = True
-        done = asyncio.run_coroutine_threadsafe(self.router.stop(drain=drain), self._loop)
-        done.result(timeout=timeout)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "RouterHandle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
 def start_router_thread(
     sketch_path: str,
     processes: int = 2,
@@ -821,11 +750,12 @@ def start_router_thread(
     restart_delay_s: float = 0.5,
     worker_boot_timeout_s: float = 60.0,
     share_weights: bool = True,
-) -> RouterHandle:
+) -> ServerHandle:
     """Start a :class:`SketchRouter` on a daemon event-loop thread.
 
     Returns once every worker has booted and the socket is bound (or
-    re-raises the boot/bind error in the caller).
+    re-raises the boot/bind error in the caller); the handle's ``server``
+    is the router.
     """
     router = SketchRouter(
         sketch_path,
@@ -838,29 +768,4 @@ def start_router_thread(
         worker_boot_timeout_s=worker_boot_timeout_s,
         share_weights=share_weights,
     )
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-    boot_error: list[BaseException] = []
-
-    def run() -> None:
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(router.start())
-        except BaseException as exc:
-            boot_error.append(exc)
-            started.set()
-            loop.close()
-            return
-        started.set()
-        try:
-            loop.run_forever()  # until RouterHandle.stop() calls loop.stop()
-            loop.run_until_complete(loop.shutdown_asyncgens())
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=run, name="repro-sketch-router", daemon=True)
-    thread.start()
-    started.wait(timeout=worker_boot_timeout_s + 30.0)
-    if boot_error:
-        raise boot_error[0]
-    return RouterHandle(router, loop, thread)
+    return run_in_thread(router, boot_timeout_s=worker_boot_timeout_s + 30.0)

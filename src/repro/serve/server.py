@@ -3,10 +3,12 @@
 Many concurrent clients, one process, one engine. Each connection speaks
 the newline-delimited protocol of :mod:`repro.serve.protocol`; every frame
 becomes its own asyncio task, so a connection can pipeline requests and a
-slow batch never blocks the single queries behind it. Single queries go
-through :meth:`SketchService.submit` — the micro-batcher merges whatever
-arrives within the flush window into one compiled ``predict`` — and
-blocking batch/stats work runs on a small thread pool. Under load the
+slow batch never blocks the single queries behind it. Requests are
+answered by the handler every front end shares (:meth:`SketchService.handle`
+and :func:`~repro.serve.service.error_response`): single queries call
+:meth:`SketchService.submit` on the loop — the micro-batcher merges
+whatever arrives within the flush window into one compiled ``predict`` —
+and every other request runs ``handle`` on a small thread pool. Under load the
 service's flush workers check execution contexts out of the engine's
 replica pool (:mod:`repro.core.compiled`), so concurrent flushes run
 genuinely in parallel instead of queueing on a lock.
@@ -17,14 +19,16 @@ Robustness contract (exercised by ``tests/test_server.py``):
   connection stays alive;
 - reads are bounded — a line beyond the hard stream limit is discarded
   without buffering it;
-- every request has a deadline (``request_timeout_s``) and times out into
-  a ``timeout`` error instead of wedging the connection;
+- every query and batch has a deadline (``request_timeout_s``) and times
+  out into a ``timeout`` error instead of wedging the connection;
 - :meth:`stop` with ``drain=True`` answers everything in flight before
   closing — no Future is dropped.
 
-:func:`start_server_thread` runs the whole loop in a daemon thread and
-returns a handle with ``.address`` / ``.stop()``, which is how the CLI,
-the eval runner and the tests embed a live server.
+:func:`read_frames` (bounded line reading) and :func:`run_in_thread`
+(daemon-thread embedding) serve both socket front ends, this server and
+:class:`~repro.serve.router.SketchRouter`. :func:`start_server_thread`
+returns a :class:`ServerHandle` with ``.address`` / ``.stop()``, which is
+how the CLI, the eval runner and the tests embed a live server.
 """
 
 from __future__ import annotations
@@ -32,27 +36,23 @@ from __future__ import annotations
 import asyncio
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.serve import protocol
 from repro.serve.protocol import (
     BatchQueryRequest,
-    BatchQueryResponse,
-    EpochRequest,
-    EpochResponse,
     ErrorResponse,
-    IngestRequest,
-    IngestResponse,
     ProtocolError,
     QueryRequest,
-    QueryResponse,
-    Request,
     Response,
-    StatsRequest,
     StatsResponse,
 )
-from repro.serve.service import ImmutableSketchError, SketchService
+from repro.serve.service import SketchService, error_response, query_response
+
+if TYPE_CHECKING:
+    from repro.serve.router import SketchRouter
 
 
 class SketchServer:
@@ -115,17 +115,9 @@ class SketchServer:
         """Bind and start accepting connections (call once, on the loop)."""
         if self._server is not None:
             raise RuntimeError("server already started")
-        # Stream limit sits above the frame bound so a line slightly over
-        # max_line_bytes still arrives whole and gets a proper per-frame
-        # `oversized` error; only grossly-over lines hit the discard path.
-        self._server = await asyncio.start_server(
-            self._handle_conn,
-            self.host,
-            self.port,
-            limit=self.max_line_bytes + 1024,
+        self._server, self.address = await listen(
+            self._handle_conn, self.host, self.port, self.max_line_bytes
         )
-        sock = self._server.sockets[0]
-        self.address = sock.getsockname()[:2]
 
     async def stop(self, drain: bool = True) -> None:
         """Stop accepting, settle in-flight work, close connections.
@@ -142,14 +134,11 @@ class SketchServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if drain:
-            while self._inflight:
-                await asyncio.gather(*list(self._inflight), return_exceptions=True)
-        else:
+        if not drain:
             for task in list(self._inflight):
                 task.cancel()
-            if self._inflight:
-                await asyncio.gather(*list(self._inflight), return_exceptions=True)
+        while self._inflight:
+            await asyncio.gather(*list(self._inflight), return_exceptions=True)
         for writer in list(self._writers):
             writer.close()
         if self._conn_tasks:
@@ -180,44 +169,20 @@ class SketchServer:
         write_lock = asyncio.Lock()
         frame_tasks: set[asyncio.Task] = set()
         try:
-            while True:
-                try:
-                    line = await reader.readuntil(b"\n")
-                except asyncio.IncompleteReadError as exc:
-                    line = exc.partial  # EOF; a final unterminated frame still counts
-                    if not line.strip():
-                        break
-                except asyncio.LimitOverrunError:
-                    await self._discard_to_newline(reader)
+            async for line in read_frames(reader):
+                if line is None:
                     self.n_errors += 1
-                    await self._write(
-                        writer,
-                        write_lock,
-                        ErrorResponse(
-                            error=(
-                                "request line exceeds the "
-                                f"{self.max_line_bytes}-byte bound"
-                            ),
-                            code="oversized",
-                        ),
-                    )
-                    continue
-                except (ConnectionResetError, BrokenPipeError):
-                    break
-                stripped = line.rstrip(b"\r\n")
-                if not stripped.strip():
-                    if not line.endswith(b"\n"):
-                        break
+                    message = f"request line exceeds the {self.max_line_bytes}-byte bound"
+                    oversized = ErrorResponse(error=message, code="oversized")
+                    await self._write(writer, write_lock, oversized)
                     continue
                 frame_task = asyncio.ensure_future(
-                    self._serve_frame(stripped, writer, write_lock)
+                    self._serve_frame(line, writer, write_lock)
                 )
                 frame_tasks.add(frame_task)
                 self._inflight.add(frame_task)
                 frame_task.add_done_callback(frame_tasks.discard)
                 frame_task.add_done_callback(self._inflight.discard)
-                if not line.endswith(b"\n"):
-                    break  # that was the EOF frame
         finally:
             if frame_tasks:
                 await asyncio.gather(*list(frame_tasks), return_exceptions=True)
@@ -229,20 +194,6 @@ class SketchServer:
                 pass
             if task is not None:
                 self._conn_tasks.discard(task)
-
-    async def _discard_to_newline(self, reader: asyncio.StreamReader) -> None:
-        """Drop the rest of an over-limit line without buffering it whole."""
-        while True:
-            try:
-                await reader.readuntil(b"\n")
-                return
-            except asyncio.LimitOverrunError as exc:
-                # `consumed` bytes are buffered and all belong to the
-                # oversized line (or end exactly at its newline) — eat them
-                # and keep scanning.
-                await reader.readexactly(exc.consumed)
-            except (asyncio.IncompleteReadError, ConnectionResetError):
-                return
 
     # --------------------------------------------------------------- requests
 
@@ -257,84 +208,32 @@ class SketchServer:
             rid = request.id
             if self._draining:
                 raise ProtocolError("server is draining", code="shutting-down")
-            response = await self._dispatch(request)
-        except ProtocolError as exc:
-            response = exc.to_response(rid)
-        except KeyError as exc:
-            message = exc.args[0] if exc.args else str(exc)
-            response = ErrorResponse(error=str(message), code="unknown-sketch", id=rid)
-        except ImmutableSketchError as exc:
-            response = ErrorResponse(error=str(exc), code="immutable", id=rid)
-        except (TimeoutError, asyncio.TimeoutError):
-            response = ErrorResponse(
-                error=f"request missed the {self.request_timeout_s}s deadline",
-                code="timeout",
-                id=rid,
-            )
-        except asyncio.CancelledError:
-            raise
+            if isinstance(request, QueryRequest):
+                # submit() is cheap (cache probe + enqueue) — run it on the
+                # loop so concurrent queries land in the same micro-batch
+                # window.
+                fut = self.service.submit(
+                    np.asarray(request.q, dtype=np.float64), request.sketch
+                )
+                await asyncio.wait_for(asyncio.wrap_future(fut), self.request_timeout_s)
+                response = query_response(request, fut)
+            else:
+                work = asyncio.get_running_loop().run_in_executor(
+                    self._executor, self.service.handle, request
+                )
+                # Only batches get a deadline: a retraining ingest may
+                # legitimately outlive it, and abandoning one midway would
+                # leave the client unsure whether the mutation landed.
+                if isinstance(request, BatchQueryRequest):
+                    work = asyncio.wait_for(work, self.request_timeout_s)
+                response = await work
+                if isinstance(response, StatsResponse):
+                    response.stats["server"] = self.server_stats()
         except Exception as exc:  # the sketch itself raised — report, don't die
-            response = ErrorResponse(
-                error=f"{type(exc).__name__}: {exc}", code="internal", id=rid
-            )
+            response = error_response(exc, rid, self.request_timeout_s)
         if isinstance(response, ErrorResponse):
             self.n_errors += 1
         await self._write(writer, write_lock, response)
-
-    async def _dispatch(self, request: Request) -> Response:
-        loop = asyncio.get_running_loop()
-        if isinstance(request, StatsRequest):
-            stats = await loop.run_in_executor(
-                self._executor, self.service.stats, request.sketch
-            )
-            stats["server"] = self.server_stats()
-            return StatsResponse(stats=stats, id=request.id)
-        if isinstance(request, EpochRequest):
-            info = self.service.epoch_info(request.sketch)
-            return EpochResponse(
-                epoch=info["epoch"],
-                data_version=info["data_version"],
-                id=request.id,
-                sketch=request.sketch,
-            )
-        if isinstance(request, IngestRequest):
-            # No deadline: a retraining ingest may legitimately outlive the
-            # per-query timeout, and abandoning it midway would leave the
-            # client unsure whether the mutation landed.
-            summary = await loop.run_in_executor(
-                self._executor,
-                self.service.ingest,
-                list(request.rows) if request.rows else None,
-                request.delete,
-                request.sketch,
-            )
-            return IngestResponse(ingest=summary, id=request.id, sketch=request.sketch)
-        if isinstance(request, BatchQueryRequest):
-            Q = np.asarray(request.q, dtype=np.float64)
-            answers = await asyncio.wait_for(
-                loop.run_in_executor(
-                    self._executor, self.service.ask_many, Q, request.sketch
-                ),
-                self.request_timeout_s,
-            )
-            return BatchQueryResponse(
-                answers=tuple(float(a) for a in answers),
-                id=request.id,
-                sketch=request.sketch,
-            )
-        assert isinstance(request, QueryRequest)
-        # submit() is cheap (cache probe + enqueue) — run it on the loop so
-        # concurrent queries land in the same micro-batch window.
-        fut = self.service.submit(np.asarray(request.q, dtype=np.float64), request.sketch)
-        answer = await asyncio.wait_for(
-            asyncio.wrap_future(fut), self.request_timeout_s
-        )
-        return QueryResponse(
-            answer=float(answer),
-            cached=bool(getattr(fut, "cached", False)),
-            id=request.id,
-            sketch=request.sketch,
-        )
 
     async def _write(
         self,
@@ -353,18 +252,79 @@ class SketchServer:
                 pass
 
 
+# ------------------------------------------------------------- frame reading
+
+
+async def listen(handler, host: str, port: int, max_line_bytes: int):
+    """Start accepting connections; returns ``(asyncio server, (host, port))``.
+
+    The stream limit sits above the frame bound so a line slightly over
+    ``max_line_bytes`` still arrives whole and gets a proper per-frame
+    ``oversized`` error; only grossly-over lines make :func:`read_frames`
+    discard and yield ``None``.
+    """
+    server = await asyncio.start_server(handler, host, port, limit=max_line_bytes + 1024)
+    return server, server.sockets[0].getsockname()[:2]
+
+
+async def read_frames(reader: asyncio.StreamReader):
+    """Yield each non-blank line of a client stream, without its line end.
+
+    A line beyond the stream's limit is dropped without buffering it whole
+    and yields ``None`` instead, so the caller can answer ``oversized``
+    and keep the connection. A final unterminated line before EOF still
+    counts as a frame; EOF or a reset ends the iteration.
+    """
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial  # EOF
+        except asyncio.LimitOverrunError:
+            await _discard_to_newline(reader)
+            yield None
+            continue
+        except (ConnectionResetError, BrokenPipeError):
+            return
+        frame = line.rstrip(b"\r\n")
+        if frame.strip():
+            yield frame
+        if not line.endswith(b"\n"):
+            return  # that was the EOF frame
+
+
+async def _discard_to_newline(reader: asyncio.StreamReader) -> None:
+    """Drop the rest of an over-limit line without buffering it whole."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            # `consumed` bytes are buffered and all belong to the oversized
+            # line (or end exactly at its newline) — eat them and keep
+            # scanning.
+            await reader.readexactly(exc.consumed)
+        except (asyncio.IncompleteReadError, ConnectionResetError):
+            return
+
+
 # ----------------------------------------------------------- thread embedding
 
 
 class ServerHandle:
-    """A running server on its own event-loop thread.
+    """A running front end on its own event-loop thread.
 
-    ``address`` is the bound ``(host, port)``; :meth:`stop` drains and
-    joins. Context-manager use stops on exit.
+    ``server`` is the :class:`SketchServer` or
+    :class:`~repro.serve.router.SketchRouter` being run; ``address`` is its
+    bound ``(host, port)``; :meth:`stop` drains and joins. Context-manager
+    use stops on exit.
     """
 
     def __init__(
-        self, server: SketchServer, loop: asyncio.AbstractEventLoop, thread: threading.Thread
+        self,
+        server: SketchServer | SketchRouter,
+        loop: asyncio.AbstractEventLoop,
+        thread: threading.Thread,
     ) -> None:
         self.server = server
         self._loop = loop
@@ -376,7 +336,7 @@ class ServerHandle:
         assert self.server.address is not None
         return self.server.address
 
-    def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
+    def stop(self, drain: bool = True, timeout: float = 60.0) -> None:
         if self._stopped:
             return
         self._stopped = True
@@ -392,26 +352,14 @@ class ServerHandle:
         self.stop()
 
 
-def start_server_thread(
-    service: SketchService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    max_line_bytes: int = protocol.MAX_LINE_BYTES,
-    request_timeout_s: float = 30.0,
+def run_in_thread(
+    server: SketchServer | SketchRouter, boot_timeout_s: float = 30.0
 ) -> ServerHandle:
-    """Start a :class:`SketchServer` on a daemon event-loop thread.
+    """Run ``server`` on a daemon event-loop thread.
 
-    Returns once the socket is bound (or re-raises the bind error in the
-    caller). The CLI, the eval runner's concurrency bench and the tests
-    all embed servers through this.
+    Returns once ``server.start()`` has finished (or re-raises its error
+    in the caller); the loop then runs until :meth:`ServerHandle.stop`.
     """
-    server = SketchServer(
-        service,
-        host=host,
-        port=port,
-        max_line_bytes=max_line_bytes,
-        request_timeout_s=request_timeout_s,
-    )
     loop = asyncio.new_event_loop()
     started = threading.Event()
     boot_error: list[BaseException] = []
@@ -434,7 +382,25 @@ def start_server_thread(
 
     thread = threading.Thread(target=run, name="repro-sketch-server", daemon=True)
     thread.start()
-    started.wait(timeout=30.0)
+    started.wait(timeout=boot_timeout_s)
     if boot_error:
         raise boot_error[0]
     return ServerHandle(server, loop, thread)
+
+
+def start_server_thread(
+    service: SketchService,
+    host: str = "127.0.0.1",
+    port: int = 0,
+    max_line_bytes: int = protocol.MAX_LINE_BYTES,
+    request_timeout_s: float = 30.0,
+) -> ServerHandle:
+    """Start a :class:`SketchServer` on a daemon event-loop thread.
+
+    Returns once the socket is bound (or re-raises the bind error in the
+    caller). The CLI, the eval runner's concurrency bench and the tests
+    all embed servers through this.
+    """
+    return run_in_thread(
+        SketchServer(service, host, port, max_line_bytes, request_timeout_s)
+    )

@@ -18,22 +18,83 @@ The façade a server embeds (and what ``repro serve`` runs):
 With the cache disabled, :meth:`ask_many` hands the *exact* query array to
 the sketch's ``predict`` in one flush, so its answers are bitwise-equal to
 the direct batch path (``tests/test_serve.py`` asserts this).
+
+Every front end answers requests through :meth:`SketchService.handle`
+(request -> service call) and :func:`error_response` (exception -> wire
+error code): the stdio loop and the shard worker via
+:meth:`SketchService.answer_line`, the socket server from its frame tasks.
 """
 
 from __future__ import annotations
 
+import asyncio
+import concurrent.futures
 import gzip
 import json
 from concurrent.futures import Future
 
 import numpy as np
 
+from repro.serve import protocol
 from repro.serve.batching import MicroBatcher
 from repro.serve.cache import AnswerCache
+
+# Before Python 3.11 a missed ``Future.result(timeout=...)`` and a missed
+# ``asyncio.wait_for`` raise their own TimeoutError classes, not the builtin.
+_TIMEOUTS = (TimeoutError, concurrent.futures.TimeoutError, asyncio.TimeoutError)
 
 
 class ImmutableSketchError(RuntimeError):
     """An ingest was sent to a service or sketch without mutation support."""
+
+
+def error_response(
+    exc: Exception, rid: object = None, timeout_s: float | None = None
+) -> protocol.ErrorResponse:
+    """The one exception -> error-code table of the wire protocol.
+
+    Protocol errors keep their own code; otherwise an unknown sketch is
+    ``unknown-sketch``, a refused ingest ``immutable``, a missed deadline
+    ``timeout`` and anything else the sketch raised ``internal``.
+    """
+    if isinstance(exc, protocol.ProtocolError):
+        return exc.to_response(rid)
+    if isinstance(exc, KeyError):
+        message = exc.args[0] if exc.args else str(exc)
+        return protocol.ErrorResponse(error=str(message), code="unknown-sketch", id=rid)
+    if isinstance(exc, ImmutableSketchError):
+        return protocol.ErrorResponse(error=str(exc), code="immutable", id=rid)
+    if isinstance(exc, _TIMEOUTS):
+        return protocol.ErrorResponse(
+            error=f"request missed the {timeout_s}s deadline", code="timeout", id=rid
+        )
+    message = f"{type(exc).__name__}: {exc}"
+    return protocol.ErrorResponse(error=message, code="internal", id=rid)
+
+
+def query_response(request: protocol.QueryRequest, fut: Future) -> protocol.QueryResponse:
+    """The response to a single query whose :meth:`SketchService.submit`
+    Future has resolved."""
+    return protocol.QueryResponse(
+        answer=float(fut.result()),
+        cached=bool(getattr(fut, "cached", False)),
+        id=request.id,
+        sketch=request.sketch,
+    )
+
+
+def ingest_summary(results) -> dict:
+    """One summary dict over the append/delete results of one ingest."""
+    return {
+        "op": "+".join(r.op for r in results),
+        "appended": sum(r.appended for r in results),
+        "deleted": sum(r.deleted for r in results),
+        "dirty_leaves": sorted({l for r in results for l in r.dirty_leaves}),
+        "retrained_leaves": sorted({l for r in results for l in r.retrained_leaves}),
+        "swapped": any(r.swapped for r in results),
+        "epoch": results[-1].epoch,
+        "data_version": results[-1].data_version,
+    }
 
 
 def load_sketch(path: str, dtype: str | None = None):
@@ -378,17 +439,7 @@ class SketchService:
                 )
             )
         evicted = self._invalidate_dirty(target, results)
-        return {
-            "op": "+".join(r.op for r in results),
-            "appended": sum(r.appended for r in results),
-            "deleted": sum(r.deleted for r in results),
-            "dirty_leaves": sorted({l for r in results for l in r.dirty_leaves}),
-            "retrained_leaves": sorted({l for r in results for l in r.retrained_leaves}),
-            "swapped": any(r.swapped for r in results),
-            "epoch": results[-1].epoch,
-            "data_version": results[-1].data_version,
-            "cache_evictions": evicted,
-        }
+        return {**ingest_summary(results), "cache_evictions": evicted}
 
     def _invalidate_dirty(self, target, results) -> int:
         """Evict cached answers reachable from the dirty leaves' boxes."""
@@ -415,6 +466,57 @@ class SketchService:
             "epoch": int(getattr(entry.sketch, "epoch", 0)),
             "data_version": int(getattr(entry.sketch, "data_version", 0)),
         }
+
+    # -------------------------------------------------------------- requests
+
+    def handle(
+        self, request: protocol.Request, timeout_s: float | None = None
+    ) -> protocol.Response:
+        """Answer one decoded protocol request (blocks; raises on failure).
+
+        ``timeout_s`` bounds the wait for a single query's micro-batch;
+        batch, ingest, stats and epoch requests run to completion.
+        """
+        if isinstance(request, protocol.QueryRequest):
+            fut = self.submit(np.asarray(request.q, dtype=np.float64), request.sketch)
+            fut.result(timeout=timeout_s)
+            return query_response(request, fut)
+        if isinstance(request, protocol.BatchQueryRequest):
+            answers = self.ask_many(np.asarray(request.q, dtype=np.float64), request.sketch)
+            return protocol.BatchQueryResponse(
+                answers=tuple(float(a) for a in answers), id=request.id, sketch=request.sketch
+            )
+        if isinstance(request, protocol.IngestRequest):
+            summary = self.ingest(
+                list(request.rows) if request.rows else None, request.delete, request.sketch
+            )
+            return protocol.IngestResponse(ingest=summary, id=request.id, sketch=request.sketch)
+        if isinstance(request, protocol.EpochRequest):
+            info = self.epoch_info(request.sketch)
+            return protocol.EpochResponse(**info, id=request.id, sketch=request.sketch)
+        if isinstance(request, protocol.StatsRequest):
+            return protocol.StatsResponse(stats=self.stats(request.sketch), id=request.id)
+        raise TypeError(f"not a protocol request: {request!r}")
+
+    def answer_line(
+        self,
+        line: str | bytes,
+        max_line_bytes: int = protocol.MAX_LINE_BYTES,
+        timeout_s: float | None = None,
+    ) -> protocol.Response:
+        """One protocol frame -> one protocol response (never raises).
+
+        The request handler of the synchronous transports, the ``repro
+        serve`` stdio loop and the shard worker.
+        """
+        rid: object = None
+        try:
+            protocol.check_line_size(line, max_line_bytes)
+            request = protocol.decode_request(line)
+            rid = request.id
+            return self.handle(request, timeout_s)
+        except Exception as exc:  # a bad frame or a failing sketch must not kill the loop
+            return error_response(exc, rid, timeout_s)
 
     # ------------------------------------------------------------- lifecycle
 

@@ -2,8 +2,10 @@
 
 ``python -m repro.serve.worker --sketch PATH ...`` is what
 :mod:`repro.serve.router` spawns, one process per shard: each worker loads
-its own copy of the sketch (preferably from the binary ``.npz`` spill —
-see :meth:`repro.core.compiled.CompiledSketch.save_npz` — so a spawn costs
+its own copy of the sketch through
+:func:`~repro.serve.service.load_sketch` (preferably the router's
+``shm://`` weight block or the binary ``.npz`` spill — see
+:meth:`repro.core.compiled.CompiledSketch.save_npz` — so a spawn costs
 milliseconds), runs its own :class:`~repro.serve.service.SketchService`
 (micro-batcher, answer cache, engine replica pool) and answers protocol
 frames on stdin/stdout.
@@ -25,9 +27,10 @@ they do in the single-process server. EOF on stdin drains the service and
 exits 0; the first line written is the ``READY`` handshake the router
 waits for before forwarding traffic.
 
-:func:`answer_frame` is the synchronous one-frame handler shared with the
-CLI's ``repro serve --stdio`` loop (the asyncio server has its own twin in
-:meth:`repro.serve.server.SketchServer._serve_frame`).
+Each frame is answered by :meth:`SketchService.answer_line
+<repro.serve.service.SketchService.answer_line>`, the request handler the
+stdio loop and the socket server share; the worker itself only strips and
+re-adds the routing envelope.
 """
 
 from __future__ import annotations
@@ -37,9 +40,8 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 from repro.serve import protocol
+from repro.serve.service import SketchService, load_sketch
 
 #: First line a worker writes once its service is registered and it is
 #: about to enter the frame loop. The router treats anything else as a
@@ -47,106 +49,29 @@ from repro.serve import protocol
 READY_LINE = b"READY"
 
 
-def answer_frame(service, raw_line, max_line_bytes: int, timeout_s: float):
-    """One protocol frame -> one protocol response (never raises).
-
-    The synchronous transport's request handler, shared by the stdio loop
-    and the sharding worker; both speak only :mod:`repro.serve.protocol`
-    dataclasses.
-    """
-    from repro.serve.service import ImmutableSketchError
-
-    rid = None
-    try:
-        protocol.check_line_size(raw_line, max_line_bytes)
-        request = protocol.decode_request(raw_line)
-        rid = request.id
-        if isinstance(request, protocol.StatsRequest):
-            return protocol.StatsResponse(stats=service.stats(request.sketch), id=rid)
-        if isinstance(request, protocol.EpochRequest):
-            info = service.epoch_info(request.sketch)
-            return protocol.EpochResponse(
-                epoch=info["epoch"],
-                data_version=info["data_version"],
-                id=rid,
-                sketch=request.sketch,
-            )
-        if isinstance(request, protocol.IngestRequest):
-            summary = service.ingest(
-                rows=list(request.rows) if request.rows else None,
-                delete=request.delete,
-                sketch=request.sketch,
-            )
-            return protocol.IngestResponse(ingest=summary, id=rid, sketch=request.sketch)
-        if isinstance(request, protocol.BatchQueryRequest):
-            answers = service.ask_many(
-                np.asarray(request.q, dtype=np.float64), request.sketch
-            )
-            return protocol.BatchQueryResponse(
-                answers=tuple(float(a) for a in answers), id=rid, sketch=request.sketch
-            )
-        fut = service.submit(np.asarray(request.q, dtype=np.float64), request.sketch)
-        answer = fut.result(timeout=timeout_s)
-        return protocol.QueryResponse(
-            answer=float(answer),
-            cached=bool(getattr(fut, "cached", False)),
-            id=rid,
-            sketch=request.sketch,
-        )
-    except protocol.ProtocolError as exc:
-        return exc.to_response(rid)
-    except KeyError as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        return protocol.ErrorResponse(error=str(message), code="unknown-sketch", id=rid)
-    except ImmutableSketchError as exc:
-        return protocol.ErrorResponse(error=str(exc), code="immutable", id=rid)
-    except TimeoutError:
-        return protocol.ErrorResponse(
-            error=f"request missed the {timeout_s}s deadline", code="timeout", id=rid
-        )
-    except Exception as exc:  # a bad frame must not kill the loop
-        return protocol.ErrorResponse(
-            error=f"{type(exc).__name__}: {exc}", code="internal", id=rid
-        )
-
-
-def load_worker_sketch(path: str, dtype: str | None = None):
-    """Load a sketch artifact for serving, preferring the fast binary path.
-
-    ``shm://`` URIs attach the router's published shared-memory weight
-    block (:func:`repro.serve.shm.attach_sketch`) — zero copy, so N
-    workers share one resident set of tensors; ``.npz`` spills load
-    through :meth:`~repro.core.compiled.CompiledSketch.load_npz`
-    (milliseconds, no JSON number parsing); stream bundles rebuild the
-    full mutable :class:`~repro.stream.sketch.StreamingSketch`; anything
-    else goes through the regular
-    :func:`~repro.serve.service.load_sketch`.
-    """
-    if path.startswith("shm://"):
-        from repro.serve.shm import attach_sketch
-
-        return attach_sketch(path, dtype=dtype)
-    if path.endswith(".npz"):
-        from repro.stream.sketch import is_stream_bundle, load_stream_sketch
-
-        if is_stream_bundle(path):
-            return load_stream_sketch(path, serving_dtype=dtype)
-        from repro.core.compiled import CompiledSketch
-
-        return CompiledSketch.load_npz(path, dtype=dtype)
-    from repro.serve.service import load_sketch
-
-    return load_sketch(path, dtype=dtype)
-
-
-def _parse_max_batch(spec: str) -> int | str:
-    """An integer flush trigger or ``auto`` (segment-stats driven)."""
+def parse_max_batch(spec: str) -> int | str:
+    """Micro-batch flush trigger: an integer or ``auto`` (segment-stats
+    driven, see :class:`repro.serve.batching.MicroBatcher`)."""
     if spec.strip().lower() == "auto":
         return "auto"
     try:
         return int(spec)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {spec!r}")
+
+
+def service_from_args(args: argparse.Namespace) -> SketchService:
+    """The :class:`SketchService` the serving flags shared by ``repro serve``
+    and the shard worker describe."""
+    return SketchService(
+        max_batch_size=args.max_batch,
+        max_delay_s=args.max_delay_ms / 1e3,
+        cache=not args.no_cache,
+        cache_resolution=args.cache_resolution,
+        cache_exact=args.cache_exact,
+        workers=args.workers,
+        allow_mutations=args.mutable,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="execution tier (default: the artifact's recorded tier)")
     parser.add_argument("--workers", type=int, default=4,
                         help="micro-batch flush workers inside this process")
-    parser.add_argument("--max-batch", type=_parse_max_batch, default=64,
+    parser.add_argument("--max-batch", type=parse_max_batch, default=64,
                         help="micro-batch flush trigger (an integer or 'auto')")
     parser.add_argument("--max-delay-ms", type=float, default=2.0)
     parser.add_argument("--no-cache", action="store_true")
@@ -180,20 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def worker_main(argv: list[str] | None = None) -> int:
-    from repro.serve.service import SketchService
-
     args = build_parser().parse_args(argv)
     try:
-        sketch = load_worker_sketch(args.sketch, dtype=args.infer_dtype)
-        service = SketchService(
-            max_batch_size=args.max_batch,
-            max_delay_s=args.max_delay_ms / 1e3,
-            cache=not args.no_cache,
-            cache_resolution=args.cache_resolution,
-            cache_exact=args.cache_exact,
-            workers=args.workers,
-            allow_mutations=args.mutable,
-        )
+        sketch = load_sketch(args.sketch, dtype=args.infer_dtype)
+        service = service_from_args(args)
         service.register("default", sketch)
         if args.register_tiers and callable(getattr(sketch, "with_dtype", None)):
             from repro.core.compiled import DTYPE_TIERS
@@ -210,7 +125,7 @@ def worker_main(argv: list[str] | None = None) -> int:
     io_threads = args.io_threads if args.io_threads else max(8, 2 * args.workers)
 
     def handle(rid: bytes, frame: bytes) -> None:
-        response = answer_frame(service, frame, args.max_line_bytes, args.request_timeout_s)
+        response = service.answer_line(frame, args.max_line_bytes, args.request_timeout_s)
         line = protocol.encode_safe(response).encode("utf-8")
         with write_lock:
             try:

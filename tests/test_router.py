@@ -133,7 +133,7 @@ def test_router_stats_and_router_stats(golden_router):
     # A stats frame passes through to one shard and reports that shard's
     # service counters — the same shape the single-process server returns.
     assert {"batcher", "sketch"} <= set(stats)
-    rstats = golden_router.router.router_stats()
+    rstats = golden_router.server.router_stats()
     assert rstats["processes"] == 2
     assert len(rstats["workers"]) == 2
     assert all(w["alive"] for w in rstats["workers"])
@@ -182,7 +182,7 @@ def test_router_local_oversized_error_is_delivered_in_order(stub_router):
         second = json.loads(rfile.readline())
         assert first["ok"] is False and first["code"] == "oversized"
         assert second["id"] == "ok" and second["answer"] == 2.0
-        assert stub_router.router.n_local_errors >= 1
+        assert stub_router.server.n_local_errors >= 1
     finally:
         sock.close()
 
@@ -194,7 +194,7 @@ def test_router_redispatches_inflight_frames_from_dead_worker(stub_router):
     """SIGKILL a worker while it holds an in-flight frame: the frame is
     re-dispatched to the survivor (queries are pure reads) and the client
     still gets its answer — no error, no hang."""
-    router = stub_router.router
+    router = stub_router.server
     sock, rfile = _raw_conn(stub_router.address)
     try:
         # Round-robin starts at slot 0, so the slow frame lands there.
@@ -211,7 +211,7 @@ def test_router_redispatches_inflight_frames_from_dead_worker(stub_router):
 
 
 def test_router_restarts_dead_worker_and_keeps_serving(golden_router):
-    router = golden_router.router
+    router = golden_router.server
     before = router.router_stats()
     os.kill(before["workers"][1]["pid"], signal.SIGKILL)
     deadline = time.time() + 10.0
@@ -322,7 +322,7 @@ def test_router_ingest_broadcast_keeps_every_shard_bit_identical(stream_router):
         stats = client.stats()
         assert stats["mutable"] is True
         assert stats["stream"]["epoch"] == twin.epoch
-    rstats = handle.router.router_stats()
+    rstats = handle.server.router_stats()
     assert rstats["ingests"] >= 2 and rstats["ingest_log"] >= 2
 
 
@@ -333,7 +333,7 @@ def test_router_respawned_worker_replays_the_ingest_log(stream_router):
     from test_stream import rows_near
 
     handle = stream_router["handle"]
-    router = handle.router
+    router = handle.server
     twin = _twin_after_replay(stream_router)
     rows = rows_near(twin, np.array([0.25, 0.75]), k=5, seed=51)
     Q = np.random.default_rng(22).uniform(0.0, 1.0, size=(24, 2))
@@ -374,9 +374,7 @@ def test_prepare_worker_artifact_round_trip(tmp_path):
     assert artifact.endswith(".npz")
     # Already-spilled artifacts pass through untouched.
     assert prepare_worker_artifact(artifact) == artifact
-    from repro.serve.worker import load_worker_sketch
-
     local = load_sketch(GOLDEN)
-    spilled = load_worker_sketch(artifact)
+    spilled = load_sketch(artifact)
     Q = np.random.default_rng(0).uniform(0.0, 1.0, size=(16, local.input_dim))
     np.testing.assert_array_equal(spilled.predict(Q), local.predict(Q))

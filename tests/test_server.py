@@ -13,9 +13,11 @@ from repro.serve import (
     ServerError,
     SketchService,
     load_sketch,
+    protocol,
     start_server_thread,
 )
 from repro.serve.client import parse_address
+from repro.serve.protocol import ErrorResponse, IngestRequest, QueryRequest
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -39,6 +41,13 @@ class SlowSketch(SumSketch):
         self.n_calls += 1
         time.sleep(self.delay_s)
         return super().predict(Q)
+
+
+class Boom:
+    """A sketch whose predict always raises (``internal`` error tests)."""
+
+    def predict(self, Q):
+        raise RuntimeError("kaboom")
 
 
 @pytest.fixture()
@@ -219,10 +228,6 @@ def test_slow_sketch_times_out_with_structured_error():
 
 
 def test_sketch_exception_reports_internal_error():
-    class Boom:
-        def predict(self, Q):
-            raise RuntimeError("kaboom")
-
     svc = SketchService(cache=False, max_delay_s=1e-3)
     svc.register("boom", Boom())
     handle = start_server_thread(svc)
@@ -405,3 +410,61 @@ def test_server_without_mutations_answers_ingest_with_immutable_code():
     finally:
         handle.stop()
         svc.close()
+
+
+# --------------------------------------------------- one handler, every front end
+
+
+def test_answer_line_reports_a_missed_deadline_as_timeout():
+    """The synchronous transports (stdio loop, shard worker) report a missed
+    single-query deadline as ``timeout`` whichever TimeoutError class the
+    running Python raises for it."""
+    svc = SketchService(cache=False, max_delay_s=1e-3)
+    svc.register("slow", SlowSketch(delay_s=1.0))
+    try:
+        t0 = time.perf_counter()
+        frame = protocol.encode(QueryRequest(q=(1.0,), id=3))
+        response = svc.answer_line(frame, timeout_s=0.2)
+        assert isinstance(response, ErrorResponse)
+        assert (response.code, response.id) == ("timeout", 3)
+        assert time.perf_counter() - t0 < 0.8  # did not wait out the sketch
+    finally:
+        svc.close()
+
+
+def test_sync_and_socket_transports_answer_errors_with_the_same_codes():
+    """The same five bad frames get the same error code from the stdio/worker
+    handler (``answer_line``) as from the socket server."""
+    frames = [
+        b"{not json",
+        protocol.encode(QueryRequest(q=(0.5,) * 200, id=1)).encode(),  # > 512 bytes
+        protocol.encode(QueryRequest(q=(0.5,), id=2, sketch="nope")).encode(),
+        protocol.encode(IngestRequest(rows=((0.1, 0.2),), id=3)).encode(),
+        protocol.encode(QueryRequest(q=(0.5,), id=4, sketch="boom")).encode(),
+    ]
+    want = [
+        ("bad-json", None),
+        ("oversized", None),
+        ("unknown-sketch", 2),
+        ("immutable", 3),
+        ("internal", 4),
+    ]
+    svc = SketchService(cache=False, max_delay_s=1e-3)
+    svc.register("sum", SumSketch())
+    svc.register("boom", Boom())
+    handle = start_server_thread(svc, max_line_bytes=512)
+    try:
+        sync = [svc.answer_line(frame, max_line_bytes=512, timeout_s=5.0) for frame in frames]
+        wire = []
+        with socket.create_connection(handle.address, timeout=10.0) as sock:
+            rfile = sock.makefile("rb")
+            for frame in frames:
+                sock.sendall(frame + b"\n")
+                wire.append(protocol.decode_response(rfile.readline()))
+            rfile.close()
+    finally:
+        handle.stop()
+        svc.close()
+    assert all(isinstance(r, ErrorResponse) for r in sync + wire)
+    assert [(r.code, r.id) for r in sync] == want
+    assert [(r.code, r.id) for r in wire] == want

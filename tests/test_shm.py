@@ -25,7 +25,6 @@ from repro.serve.shm import (
     publish_sketch,
     shm_available,
 )
-from repro.serve.worker import load_worker_sketch
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = str(DATA / "golden_sketch.json.gz")
@@ -129,9 +128,8 @@ def test_loaders_resolve_shm_uris(published):
     publisher, engine = published
     Q = queries(engine, n=16)
     want = engine.predict(Q)
-    for loader in (load_sketch, load_worker_sketch):
-        got = loader(publisher.uri, dtype="float32")
-        np.testing.assert_array_equal(got.predict(Q), want)
+    got = load_sketch(publisher.uri, dtype="float32")
+    np.testing.assert_array_equal(got.predict(Q), want)
 
 
 # ------------------------------------------------------------ epoch republish
@@ -192,7 +190,7 @@ def test_router_serves_two_workers_from_one_weight_block(tmp_path):
         restart_delay_s=0.2,
     )
     try:
-        shared = handle.router.router_stats()["shared_weights"]
+        shared = handle.server.router_stats()["shared_weights"]
         assert shared is not None
         assert is_shm_uri(shared["uri"]) and shared["epoch"] == 0
         assert shared["block_bytes"] > 0
@@ -200,7 +198,7 @@ def test_router_serves_two_workers_from_one_weight_block(tmp_path):
 
         # Every worker's address space maps the *same* data block — one
         # physical copy of the weights, not one per process.
-        pids = [w["pid"] for w in handle.router.router_stats()["workers"]]
+        pids = [w["pid"] for w in handle.server.router_stats()["workers"]]
         assert len(pids) == 2
         for pid in pids:
             maps = Path(f"/proc/{pid}/maps").read_text()
@@ -227,7 +225,7 @@ def test_router_share_weights_off_falls_back_to_npz_boot(tmp_path):
         artifact, processes=1, share_weights=False, restart_delay_s=0.2
     )
     try:
-        assert handle.router.router_stats()["shared_weights"] is None
+        assert handle.server.router_stats()["shared_weights"] is None
         local = load_sketch(GOLDEN)
         Q = queries(local, n=8, seed=6)
         with Client.connect(handle.address) as client:
