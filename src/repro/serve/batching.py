@@ -103,7 +103,7 @@ class MicroBatcher:
         self.workers = int(workers)
 
         self._cond = threading.Condition()
-        self._pending: list[tuple[np.ndarray, Future, bool]] = []
+        self._pending: list[tuple[np.ndarray, Future]] = []
         self._pending_rows = 0
         self._closed = False
         # Flush accounting (read via stats(); guarded by _cond's lock).
@@ -122,12 +122,8 @@ class MicroBatcher:
 
     # ---------------------------------------------------------------- submit
 
-    def submit(self, Q_block: np.ndarray, scalar: bool = False) -> Future:
-        """Enqueue a block of queries; the Future resolves to its answers.
-
-        ``scalar=True`` marks a single-query block whose Future resolves to
-        a plain ``float`` instead of a 1-element array.
-        """
+    def submit(self, Q_block: np.ndarray) -> Future:
+        """Enqueue a block of queries; the Future resolves to its answers."""
         Q_block = np.atleast_2d(np.asarray(Q_block, dtype=self.dtype))
         if Q_block.shape[0] == 0:
             fut: Future = Future()
@@ -146,7 +142,7 @@ class MicroBatcher:
                     )
                     self._threads.append(t)
                     t.start()
-            self._pending.append((Q_block, fut, bool(scalar)))
+            self._pending.append((Q_block, fut))
             self._pending_rows += Q_block.shape[0]
             self._cond.notify_all()
         return fut
@@ -186,7 +182,7 @@ class MicroBatcher:
             self._count_flush(Q_block.shape[0])
             return answers
         own: Future = Future()
-        batch.append((Q_block, own, False))
+        batch.append((Q_block, own))
         self._flush(batch)
         return own.result()
 
@@ -210,7 +206,7 @@ class MicroBatcher:
                 with self._cond:
                     self.max_batch_size = suggested
 
-    def _take_pending_locked(self) -> list[tuple[np.ndarray, Future, bool]]:
+    def _take_pending_locked(self) -> list[tuple[np.ndarray, Future]]:
         batch = self._pending
         self._pending = []
         self._pending_rows = 0
@@ -235,7 +231,7 @@ class MicroBatcher:
                 batch = self._take_pending_locked()
             self._flush(batch)
 
-    def _flush(self, batch: list[tuple[np.ndarray, Future, bool]]) -> int:
+    def _flush(self, batch: list[tuple[np.ndarray, Future]]) -> int:
         if not batch:
             return 0
         # A caller may have cancelled its Future while it sat in the queue;
@@ -243,24 +239,24 @@ class MicroBatcher:
         # which would kill the worker thread. Claim each Future first and
         # drop the cancelled ones (their rows still run — answers are
         # positional within the concatenated batch).
-        live = [fut.set_running_or_notify_cancel() for _, fut, _ in batch]
-        blocks = [block for block, _, _ in batch]
+        live = [fut.set_running_or_notify_cancel() for _, fut in batch]
+        blocks = [block for block, _ in batch]
         Q = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
         try:
             answers = np.asarray(self._predict(Q), dtype=np.float64).ravel()
         except Exception as exc:  # propagate to every waiting Future
             self._count_flush(Q.shape[0], failed=True)
-            for ok, (_, fut, _) in zip(live, batch):
+            for ok, (_, fut) in zip(live, batch):
                 if ok:
                     fut.set_exception(exc)
             return Q.shape[0]
         self._count_flush(Q.shape[0])
         start = 0
-        for ok, (block, fut, scalar) in zip(live, batch):
+        for ok, (block, fut) in zip(live, batch):
             part = answers[start : start + block.shape[0]]
             start += block.shape[0]
             if ok:
-                fut.set_result(float(part[0]) if scalar else part)
+                fut.set_result(part)
         return Q.shape[0]
 
     # ----------------------------------------------------------------- close

@@ -83,25 +83,63 @@ class AnswerCache:
             return namespace + b"q" + scaled.astype(np.int64).tobytes()
         return namespace + b"x" + q.tobytes()
 
-    def get(self, q: np.ndarray, namespace: bytes = b"") -> float | None:
-        """Cached answer, or ``None`` on a miss (counts either way)."""
-        key = self.key(q, namespace)
-        with self._lock:
-            value = self._data.get(key, _MISS)
-            if value is _MISS:
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return value
+    def keys(self, Q: np.ndarray, namespace: bytes = b"") -> list[bytes]:
+        """The cache keys of every row of an ``(m, d)`` query block.
 
-    def put(self, q: np.ndarray, answer: float, namespace: bytes = b"") -> None:
-        key = self.key(q, namespace)
+        Quantizes the whole block in one numpy pass; each key is
+        bitwise-equal to :meth:`key` of its row, exact-bytes fallback
+        included.
+        """
+        Q = np.ascontiguousarray(np.atleast_2d(Q), dtype=np.float64)
+        m, d = Q.shape
+        raw = Q.tobytes()
+        width = 8 * d
+        exact_prefix = namespace + b"x"
+        if self.exact:
+            return [exact_prefix + raw[i * width : (i + 1) * width] for i in range(m)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = np.round(Q / self.resolution)
+            # Non-finite components fail the bound too (NaN compares False).
+            ok = (np.abs(scaled) < _QUANT_LIMIT).all(axis=1)
+        grid = np.where(ok[:, None], scaled, 0.0).astype(np.int64).tobytes()
+        quant_prefix = namespace + b"q"
+        return [
+            quant_prefix + grid[i * width : (i + 1) * width]
+            if good
+            else exact_prefix + raw[i * width : (i + 1) * width]
+            for i, good in enumerate(ok.tolist())
+        ]
+
+    def get_many(self, keys: list[bytes]) -> list[float | None]:
+        """Cached answer per key, ``None`` per miss (counts each, one lock)."""
+        out: list[float | None] = []
         with self._lock:
-            self._data[key] = float(answer)
-            self._data.move_to_end(key)
+            for key in keys:
+                value = self._data.get(key, _MISS)
+                if value is _MISS:
+                    self.misses += 1
+                    out.append(None)
+                else:
+                    self._data.move_to_end(key)
+                    self.hits += 1
+                    out.append(value)
+        return out
+
+    def put_many(self, keys: list[bytes], answers) -> None:
+        """Store one answer per key, then evict down to the LRU bound."""
+        with self._lock:
+            for key, answer in zip(keys, answers):
+                self._data[key] = float(answer)
+                self._data.move_to_end(key)
             while len(self._data) > self.max_entries:
                 self._data.popitem(last=False)
+
+    def get(self, q: np.ndarray, namespace: bytes = b"") -> float | None:
+        """Cached answer, or ``None`` on a miss (counts either way)."""
+        return self.get_many([self.key(q, namespace)])[0]
+
+    def put(self, q: np.ndarray, answer: float, namespace: bytes = b"") -> None:
+        self.put_many([self.key(q, namespace)], [answer])
 
     def clear(self) -> None:
         with self._lock:

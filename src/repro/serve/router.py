@@ -462,31 +462,32 @@ class SketchRouter:
         self._conns.add(conn)
         self.n_connections += 1
         try:
-            async for line in read_frames(reader):
-                if line is None:
-                    self._local_error(
-                        conn,
-                        conn.take_seq(),
-                        f"request line exceeds the {self.max_line_bytes}-byte bound",
-                        code="oversized",
-                    )
-                    continue
-                self.n_requests += 1
-                seq = conn.take_seq()
-                if len(line) > self.max_line_bytes:
-                    self._local_error(
-                        conn,
-                        seq,
-                        f"request line of {len(line)} bytes exceeds the "
-                        f"{self.max_line_bytes}-byte bound",
-                        code="oversized",
-                    )
-                elif self._draining:
-                    self._local_error(
-                        conn, seq, "server is draining", code="shutting-down"
-                    )
-                else:
-                    await self._forward(conn, seq, line)
+            async for group in read_frames(reader, self.max_line_bytes):
+                for line in group:
+                    if line is None:
+                        self._local_error(
+                            conn,
+                            conn.take_seq(),
+                            f"request line exceeds the {self.max_line_bytes}-byte bound",
+                            code="oversized",
+                        )
+                        continue
+                    self.n_requests += 1
+                    seq = conn.take_seq()
+                    if len(line) > self.max_line_bytes:
+                        self._local_error(
+                            conn,
+                            seq,
+                            f"request line of {len(line)} bytes exceeds the "
+                            f"{self.max_line_bytes}-byte bound",
+                            code="oversized",
+                        )
+                    elif self._draining:
+                        self._local_error(
+                            conn, seq, "server is draining", code="shutting-down"
+                        )
+                    else:
+                        await self._forward(conn, seq, line)
         finally:
             conn.closed = True
             conn.buffer.clear()

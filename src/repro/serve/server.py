@@ -1,17 +1,21 @@
 """`SketchServer`: the asyncio socket front-end over `SketchService`.
 
 Many concurrent clients, one process, one engine. Each connection speaks
-the newline-delimited protocol of :mod:`repro.serve.protocol`; every frame
-becomes its own asyncio task, so a connection can pipeline requests and a
-slow batch never blocks the single queries behind it. Requests are
-answered by the handler every front end shares (:meth:`SketchService.handle`
-and :func:`~repro.serve.service.error_response`): single queries call
-:meth:`SketchService.submit` on the loop — the micro-batcher merges
-whatever arrives within the flush window into one compiled ``predict`` —
-and every other request runs ``handle`` on a small thread pool. Under load the
-service's flush workers check execution contexts out of the engine's
-replica pool (:mod:`repro.core.compiled`), so concurrent flushes run
-genuinely in parallel instead of queueing on a lock.
+the newline-delimited protocol of :mod:`repro.serve.protocol` and is served
+a group at a time: every complete line one read of the socket delivers
+becomes one group, handled by one asyncio task. A group's single queries
+go to :meth:`SketchService.submit_many` as one block per sketch — one cache
+probe, one micro-batch enqueue, one awaited Future — and the micro-batcher
+merges whatever arrives within the flush window into one compiled
+``predict``. Every other request runs the handler every front end shares
+(:meth:`SketchService.handle` and
+:func:`~repro.serve.service.error_response`) on a small thread pool. The
+group's responses are written in input order with one write. Groups run
+concurrently, so a connection can pipeline requests and a slow batch never
+blocks the queries in the groups behind it. Under load the service's
+flush workers check execution contexts out of the engine's replica pool
+(:mod:`repro.core.compiled`), so concurrent flushes run genuinely in
+parallel instead of queueing on a lock.
 
 Robustness contract (exercised by ``tests/test_server.py``):
 
@@ -20,7 +24,8 @@ Robustness contract (exercised by ``tests/test_server.py``):
 - reads are bounded — a line beyond the hard stream limit is discarded
   without buffering it;
 - every query and batch has a deadline (``request_timeout_s``) and times
-  out into a ``timeout`` error instead of wedging the connection;
+  out into a ``timeout`` error instead of wedging the connection (a
+  group's queries to one sketch share one deadline and miss it together);
 - :meth:`stop` with ``drain=True`` answers everything in flight before
   closing — no Future is dropped.
 
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -46,6 +51,7 @@ from repro.serve.protocol import (
     ErrorResponse,
     ProtocolError,
     QueryRequest,
+    Request,
     Response,
     StatsResponse,
 )
@@ -167,25 +173,17 @@ class SketchServer:
         self._writers.add(writer)
         self.n_connections += 1
         write_lock = asyncio.Lock()
-        frame_tasks: set[asyncio.Task] = set()
+        group_tasks: set[asyncio.Task] = set()
         try:
-            async for line in read_frames(reader):
-                if line is None:
-                    self.n_errors += 1
-                    message = f"request line exceeds the {self.max_line_bytes}-byte bound"
-                    oversized = ErrorResponse(error=message, code="oversized")
-                    await self._write(writer, write_lock, oversized)
-                    continue
-                frame_task = asyncio.ensure_future(
-                    self._serve_frame(line, writer, write_lock)
-                )
-                frame_tasks.add(frame_task)
-                self._inflight.add(frame_task)
-                frame_task.add_done_callback(frame_tasks.discard)
-                frame_task.add_done_callback(self._inflight.discard)
+            async for group in read_frames(reader, self.max_line_bytes):
+                group_task = asyncio.ensure_future(self._serve_group(group, writer, write_lock))
+                group_tasks.add(group_task)
+                self._inflight.add(group_task)
+                group_task.add_done_callback(group_tasks.discard)
+                group_task.add_done_callback(self._inflight.discard)
         finally:
-            if frame_tasks:
-                await asyncio.gather(*list(frame_tasks), return_exceptions=True)
+            if group_tasks:
+                await asyncio.gather(*list(group_tasks), return_exceptions=True)
             self._writers.discard(writer)
             writer.close()
             try:
@@ -197,114 +195,167 @@ class SketchServer:
 
     # --------------------------------------------------------------- requests
 
-    async def _serve_frame(
-        self, line: bytes, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
-    ) -> None:
-        self.n_requests += 1
-        rid: object = None
-        try:
-            protocol.check_line_size(line, self.max_line_bytes)
-            request = protocol.decode_request(line)
-            rid = request.id
-            if self._draining:
-                raise ProtocolError("server is draining", code="shutting-down")
-            if isinstance(request, QueryRequest):
-                # submit() is cheap (cache probe + enqueue) — run it on the
-                # loop so concurrent queries land in the same micro-batch
-                # window.
-                fut = self.service.submit(
-                    np.asarray(request.q, dtype=np.float64), request.sketch
-                )
-                await asyncio.wait_for(asyncio.wrap_future(fut), self.request_timeout_s)
-                response = query_response(request, fut)
-            else:
-                work = asyncio.get_running_loop().run_in_executor(
-                    self._executor, self.service.handle, request
-                )
-                # Only batches get a deadline: a retraining ingest may
-                # legitimately outlive it, and abandoning one midway would
-                # leave the client unsure whether the mutation landed.
-                if isinstance(request, BatchQueryRequest):
-                    work = asyncio.wait_for(work, self.request_timeout_s)
-                response = await work
-                if isinstance(response, StatsResponse):
-                    response.stats["server"] = self.server_stats()
-        except Exception as exc:  # the sketch itself raised — report, don't die
-            response = error_response(exc, rid, self.request_timeout_s)
-        if isinstance(response, ErrorResponse):
-            self.n_errors += 1
-        await self._write(writer, write_lock, response)
-
-    async def _write(
+    async def _serve_group(
         self,
+        lines: list[bytes | None],
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
-        response: Response,
     ) -> None:
-        payload = protocol.encode_safe(response)
-        async with write_lock:  # frames must never interleave mid-line
+        """Answer one group of frames with one write, in input order.
+
+        Single queries are collected per sketch (and width) and each
+        collection goes through one :meth:`SketchService.submit_many`;
+        every other request runs ``handle`` on the executor. Queries and
+        batches share one deadline; ingest, stats and epoch requests run to
+        completion.
+        """
+        self.n_requests += len(lines)
+        responses: list[Response | None] = [None] * len(lines)
+        requests: list[Request | None] = [None] * len(lines)
+        blocks: dict[tuple, list[int]] = {}  # (sketch, width) -> query positions
+        others: list[int] = []
+        for i, line in enumerate(lines):
+            rid: object = None
+            try:
+                if line is None:
+                    raise ProtocolError(
+                        f"request line exceeds the {self.max_line_bytes}-byte bound",
+                        code="oversized",
+                    )
+                protocol.check_line_size(line, self.max_line_bytes)
+                request = protocol.decode_request(line)
+                rid = request.id
+                if self._draining:
+                    raise ProtocolError("server is draining", code="shutting-down")
+            except Exception as exc:
+                responses[i] = error_response(exc, rid, self.request_timeout_s)
+                continue
+            requests[i] = request
+            if isinstance(request, QueryRequest):
+                blocks.setdefault((request.sketch, len(request.q)), []).append(i)
+            else:
+                others.append(i)
+
+        # (future, positions it answers, per-row cache flags of a query block)
+        work: list[tuple[Future | asyncio.Future, list[int], list | None]] = []
+        deadlined: list[asyncio.Future] = []
+        untimed: list[asyncio.Future] = []
+        for (sketch, _), rows in blocks.items():
+            Q = np.array([requests[i].q for i in rows], dtype=np.float64)
+            try:
+                block = self.service.submit_many(Q, sketch)
+            except Exception as exc:  # e.g. an unknown sketch
+                self._answer_error(responses, requests, rows, exc)
+                continue
+            cached = block.cached
+            if not block.done():  # an all-cached block needs no loop trip
+                block = asyncio.wrap_future(block)
+                deadlined.append(block)
+            work.append((block, rows, cached))
+        for i in others:
+            f = asyncio.get_running_loop().run_in_executor(
+                self._executor, self.service.handle, requests[i]
+            )
+            work.append((f, [i], None))
+            # Only queries and batches get a deadline: a retraining ingest may
+            # legitimately outlive it, and abandoning one midway would leave
+            # the client unsure whether the mutation landed.
+            (deadlined if isinstance(requests[i], BatchQueryRequest) else untimed).append(f)
+        try:
+            if deadlined:
+                await asyncio.wait(deadlined, timeout=self.request_timeout_s)
+            if untimed:
+                await asyncio.wait(untimed)
+        finally:
+            for f in deadlined + untimed:
+                f.cancel()  # a missed deadline (or a cancelled group) abandons it
+        for f, rows, cached in work:
+            if f.cancelled():
+                self._answer_error(responses, requests, rows, TimeoutError())
+            elif f.exception() is not None:
+                self._answer_error(responses, requests, rows, f.exception())
+            elif cached is not None:
+                answers = f.result()
+                for j, i in enumerate(rows):
+                    responses[i] = query_response(requests[i], answers[j], cached[j])
+            else:
+                response = responses[rows[0]] = f.result()
+                if isinstance(response, StatsResponse):
+                    response.stats["server"] = self.server_stats()
+        self.n_errors += sum(isinstance(r, ErrorResponse) for r in responses)
+        payload = "".join(protocol.encode_safe(r) + "\n" for r in responses)
+        async with write_lock:  # groups must never interleave mid-line
             if writer.is_closing():
                 return
-            writer.write(payload.encode("utf-8") + b"\n")
+            writer.write(payload.encode("utf-8"))
             try:
                 await writer.drain()
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
+    def _answer_error(self, responses, requests, rows, exc: BaseException) -> None:
+        for i in rows:
+            responses[i] = error_response(exc, requests[i].id, self.request_timeout_s)
+
 
 # ------------------------------------------------------------- frame reading
 
+#: Bytes a line may run over ``max_line_bytes`` and still arrive whole, to be
+#: rejected by the frame size check; longer lines are discarded without ever
+#: being buffered whole.
+LINE_SLACK = 1024
+
 
 async def listen(handler, host: str, port: int, max_line_bytes: int):
-    """Start accepting connections; returns ``(asyncio server, (host, port))``.
-
-    The stream limit sits above the frame bound so a line slightly over
-    ``max_line_bytes`` still arrives whole and gets a proper per-frame
-    ``oversized`` error; only grossly-over lines make :func:`read_frames`
-    discard and yield ``None``.
-    """
-    server = await asyncio.start_server(handler, host, port, limit=max_line_bytes + 1024)
+    """Start accepting connections; returns ``(asyncio server, (host, port))``."""
+    server = await asyncio.start_server(
+        handler, host, port, limit=max_line_bytes + LINE_SLACK
+    )
     return server, server.sockets[0].getsockname()[:2]
 
 
-async def read_frames(reader: asyncio.StreamReader):
-    """Yield each non-blank line of a client stream, without its line end.
+async def read_frames(reader: asyncio.StreamReader, max_line_bytes: int):
+    """Yield a client stream's non-blank lines, one ordered group per read.
 
-    A line beyond the stream's limit is dropped without buffering it whole
-    and yields ``None`` instead, so the caller can answer ``oversized``
-    and keep the connection. A final unterminated line before EOF still
-    counts as a frame; EOF or a reset ends the iteration.
+    Each group holds every complete line that arrived in one read of the
+    stream, without line ends, so a pipelining client's frames are served
+    together. A line longer than ``max_line_bytes + LINE_SLACK`` is dropped
+    without buffering it whole and appears as ``None``, so the caller can
+    answer ``oversized`` and keep the connection. A final unterminated line
+    before EOF still counts as a frame; EOF or a reset ends the iteration.
     """
+    limit = max_line_bytes + LINE_SLACK
+    buf = bytearray()
+    skipping = False  # inside an over-limit line: drop bytes up to its newline
     while True:
         try:
-            line = await reader.readuntil(b"\n")
-        except asyncio.IncompleteReadError as exc:
-            line = exc.partial  # EOF
-        except asyncio.LimitOverrunError:
-            await _discard_to_newline(reader)
-            yield None
-            continue
+            chunk = await reader.read(limit)
         except (ConnectionResetError, BrokenPipeError):
             return
-        frame = line.rstrip(b"\r\n")
-        if frame.strip():
-            yield frame
-        if not line.endswith(b"\n"):
-            return  # that was the EOF frame
-
-
-async def _discard_to_newline(reader: asyncio.StreamReader) -> None:
-    """Drop the rest of an over-limit line without buffering it whole."""
-    while True:
-        try:
-            await reader.readuntil(b"\n")
-            return
-        except asyncio.LimitOverrunError as exc:
-            # `consumed` bytes are buffered and all belong to the oversized
-            # line (or end exactly at its newline) — eat them and keep
-            # scanning.
-            await reader.readexactly(exc.consumed)
-        except (asyncio.IncompleteReadError, ConnectionResetError):
+        eof = not chunk
+        group: list[bytes | None] = []
+        if skipping:
+            cut = chunk.find(b"\n")
+            if cut < 0 and not eof:
+                continue
+            group.append(None)
+            skipping = False
+            chunk = chunk[cut + 1 :]
+        buf += chunk
+        end = len(buf) if eof else buf.rfind(b"\n") + 1
+        if end:
+            for line in bytes(buf[:end]).split(b"\n"):
+                if len(line) > limit:
+                    group.append(None)
+                elif line.strip():
+                    group.append(line.rstrip(b"\r"))
+            del buf[:end]
+        if len(buf) > limit:
+            buf.clear()
+            skipping = True
+        if group:
+            yield group
+        if eof:
             return
 
 

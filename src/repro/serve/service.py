@@ -11,8 +11,10 @@ The façade a server embeds (and what ``repro serve`` runs):
   a size/deadline trigger;
 - a per-sketch answer cache (:class:`~repro.serve.cache.AnswerCache`)
   keyed on quantized query vectors, consulted synchronously at submit time;
-- async submission: :meth:`submit` returns a
-  :class:`concurrent.futures.Future`, with :meth:`ask`/:meth:`ask_many` as
+- async submission: :meth:`submit_many` probes the cache for a whole block
+  of queries at once and enqueues its misses as one micro-batch block,
+  returning one :class:`concurrent.futures.Future` for the block;
+  :meth:`submit` is its one-row case, and :meth:`ask`/:meth:`ask_many` are
   the blocking convenience layer.
 
 With the cache disabled, :meth:`ask_many` hands the *exact* query array to
@@ -22,7 +24,9 @@ the direct batch path (``tests/test_serve.py`` asserts this).
 Every front end answers requests through :meth:`SketchService.handle`
 (request -> service call) and :func:`error_response` (exception -> wire
 error code): the stdio loop and the shard worker via
-:meth:`SketchService.answer_line`, the socket server from its frame tasks.
+:meth:`SketchService.answer_line`; the socket server sends each buffered
+group of single queries through :meth:`submit_many` and every other request
+through ``handle``.
 """
 
 from __future__ import annotations
@@ -72,14 +76,12 @@ def error_response(
     return protocol.ErrorResponse(error=message, code="internal", id=rid)
 
 
-def query_response(request: protocol.QueryRequest, fut: Future) -> protocol.QueryResponse:
-    """The response to a single query whose :meth:`SketchService.submit`
-    Future has resolved."""
+def query_response(
+    request: protocol.QueryRequest, answer: float, cached: bool
+) -> protocol.QueryResponse:
+    """The response to a single query, from its answer and cache flag."""
     return protocol.QueryResponse(
-        answer=float(fut.result()),
-        cached=bool(getattr(fut, "cached", False)),
-        id=request.id,
-        sketch=request.sketch,
+        answer=float(answer), cached=bool(cached), id=request.id, sketch=request.sketch
     )
 
 
@@ -318,83 +320,99 @@ class SketchService:
     # ------------------------------------------------------------ submission
 
     def submit(self, q: np.ndarray, sketch: str | None = None) -> Future:
-        """Async single query: returns a Future resolving to the answer.
+        """Async single query: the one-row case of :meth:`submit_many`.
 
-        The answer cache is consulted synchronously — a hit returns an
-        already-resolved Future without touching the queue; a miss enqueues
-        the query and populates the cache when the micro-batch flushes.
-        Either way the returned Future carries a ``cached`` attribute so
-        callers (the wire servers) can report hits without diffing stats.
+        The returned Future resolves to the answer as a ``float`` and its
+        ``cached`` attribute is a ``bool``.
         """
-        entry = self._entry(sketch)
         q = np.asarray(q, dtype=np.float64).ravel()
-        if entry.cache is not None:
-            cached = entry.cache.get(q, entry.cache_ns)
-            if cached is not None:
-                fut: Future = Future()
-                fut.set_result(cached)
-                fut.cached = True
-                return fut
-        fut = entry.batcher.submit(q[None, :], scalar=True)
-        fut.cached = False
-        if entry.cache is not None:
+        return self._submit_block(self._entry(sketch), q[None, :], scalar=True)
 
-            def _store(done: Future, _q=q, _entry=entry) -> None:
-                if not done.cancelled() and done.exception() is None:
-                    _entry.cache.put(_q, done.result(), _entry.cache_ns)
+    def submit_many(self, Q: np.ndarray, sketch: str | None = None) -> Future:
+        """Async block of queries: one Future resolving to the ``(m,)``
+        answers in input order.
 
-            fut.add_done_callback(_store)
+        The answer cache is probed for every row at once and the misses are
+        enqueued as **one** micro-batch block, so a whole block costs one
+        cache lock, one enqueue and one Future however many rows it has. A
+        fully cached block returns an already-resolved Future without
+        touching the queue; otherwise the misses' answers are cached when
+        their micro-batch flushes. The Future's ``cached`` attribute is a
+        list of booleans marking the rows answered from the cache, so
+        callers (the socket server) can report hits without diffing stats.
+        """
+        Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
+        return self._submit_block(self._entry(sketch), Q, scalar=False)
+
+    def _submit_block(self, entry: _Entry, Q: np.ndarray, scalar: bool) -> Future:
+        keys, answers, misses = self._probe(entry, Q)
+        fut: Future = Future()
+        if scalar:
+            fut.cached = not misses
+        else:
+            fut.cached = [True] * len(answers)
+            for i in misses:
+                fut.cached[i] = False
+
+        def resolve() -> None:
+            fut.set_result(float(answers[0]) if scalar else answers)
+
+        if not misses:
+            resolve()
+            return fut
+        block = entry.batcher.submit(Q[misses])
+
+        def finish(done: Future) -> None:
+            # A caller that gave up on ``fut`` (a missed deadline) cancelled
+            # it; the flushed answers are still cached for the next asker.
+            exc = done.exception()
+            if exc is None:
+                answers[misses] = done.result()
+                if entry.cache is not None:
+                    entry.cache.put_many([keys[i] for i in misses], answers[misses])
+            if not fut.set_running_or_notify_cancel():
+                return
+            if exc is None:
+                resolve()
+            else:
+                fut.set_exception(exc)
+
+        block.add_done_callback(finish)
         return fut
 
-    def ask(self, q: np.ndarray, sketch: str | None = None) -> float:
-        """Blocking single query.
+    def _probe(self, entry: _Entry, Q: np.ndarray) -> tuple[list, np.ndarray, list[int]]:
+        """Every row's cache key, the cached answers (NaN where uncached) and
+        the uncached row indices."""
+        if entry.cache is None:
+            return [], np.full(Q.shape[0], np.nan), list(range(Q.shape[0]))
+        keys = entry.cache.keys(Q, entry.cache_ns)
+        hits = entry.cache.get_many(keys)
+        answers = np.array([np.nan if value is None else value for value in hits])
+        return keys, answers, [i for i, value in enumerate(hits) if value is None]
 
-        Runs the flush in the calling thread (sweeping up any concurrently
-        submitted queries), so a lone blocking caller never waits out the
-        accumulation deadline and pays no Future overhead.
-        """
-        entry = self._entry(sketch)
+    def ask(self, q: np.ndarray, sketch: str | None = None) -> float:
+        """Blocking single query: the one-row case of :meth:`ask_many`."""
         q = np.asarray(q, dtype=np.float64).ravel()
-        if entry.cache is not None:
-            cached = entry.cache.get(q, entry.cache_ns)
-            if cached is not None:
-                return cached
-        answer = float(entry.batcher.run(q[None, :])[0])
-        if entry.cache is not None:
-            entry.cache.put(q, answer, entry.cache_ns)
-        return answer
+        return float(self.ask_many(q[None, :], sketch)[0])
 
     def ask_many(self, Q: np.ndarray, sketch: str | None = None) -> np.ndarray:
         """Blocking batch: answers in input order, shape ``(m,)``.
 
-        Cached rows are answered from the cache; the remaining rows go
-        through the micro-batch queue as one block (so with the cache
-        disabled the sketch's ``predict`` sees exactly ``Q`` and the
-        answers are bitwise-identical to the direct batch path).
+        Cached rows are answered from the cache; the remaining rows run
+        through :meth:`MicroBatcher.run` as one block in the calling thread
+        (sweeping up any concurrently submitted queries), so a lone blocking
+        caller never waits out the accumulation deadline. With the cache
+        disabled the sketch's ``predict`` sees exactly ``Q`` and the answers
+        are bitwise-identical to the direct batch path.
         """
         entry = self._entry(sketch)
         Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
-        m = Q.shape[0]
-        if m == 0:
-            return np.empty(0, dtype=np.float64)
-        if entry.cache is None:
-            return entry.batcher.run(Q)
-
-        out = np.empty(m, dtype=np.float64)
-        miss_rows: list[int] = []
-        for i in range(m):
-            cached = entry.cache.get(Q[i], entry.cache_ns)
-            if cached is None:
-                miss_rows.append(i)
-            else:
-                out[i] = cached
-        if miss_rows:
-            misses = np.asarray(miss_rows, dtype=np.intp)
-            answers = entry.batcher.run(Q[misses])
-            out[misses] = answers
-            for i, row in enumerate(miss_rows):
-                entry.cache.put(Q[row], answers[i], entry.cache_ns)
-        return out
+        keys, answers, misses = self._probe(entry, Q)
+        if misses:
+            answers[misses] = entry.batcher.run(Q[misses])
+            if entry.cache is not None:
+                entry.cache.put_many([keys[i] for i in misses], answers[misses])
+        return answers
 
     # ------------------------------------------------------------- mutations
 
@@ -479,8 +497,7 @@ class SketchService:
         """
         if isinstance(request, protocol.QueryRequest):
             fut = self.submit(np.asarray(request.q, dtype=np.float64), request.sketch)
-            fut.result(timeout=timeout_s)
-            return query_response(request, fut)
+            return query_response(request, fut.result(timeout=timeout_s), fut.cached)
         if isinstance(request, protocol.BatchQueryRequest):
             answers = self.ask_many(np.asarray(request.q, dtype=np.float64), request.sketch)
             return protocol.BatchQueryResponse(

@@ -173,12 +173,12 @@ def test_microbatcher_flushes_on_size_trigger():
     batcher = MicroBatcher(SumSketch().predict, max_batch_size=3, max_delay_s=30.0)
     try:
         t0 = time.perf_counter()
-        futs = [batcher.submit(np.array([[float(i), 1.0]]), scalar=True) for i in range(3)]
-        results = [f.result(timeout=5.0) for f in futs]
+        futs = [batcher.submit(np.array([[float(i), 1.0]])) for i in range(3)]
+        results = [f.result(timeout=5.0).tolist() for f in futs]
         elapsed = time.perf_counter() - t0
         # The 30s deadline never fired; the size trigger did.
         assert elapsed < 5.0
-        assert results == [1.0, 2.0, 3.0]
+        assert results == [[1.0], [2.0], [3.0]]
         assert batcher.stats()["max_flush_rows"] == 3
     finally:
         batcher.close()
@@ -187,9 +187,9 @@ def test_microbatcher_flushes_on_size_trigger():
 def test_microbatcher_flushes_on_deadline_trigger():
     batcher = MicroBatcher(SumSketch().predict, max_batch_size=100, max_delay_s=0.02)
     try:
-        fut = batcher.submit(np.array([[2.0, 3.0]]), scalar=True)
+        fut = batcher.submit(np.array([[2.0, 3.0]]))
         # One row << max_batch_size: only the deadline can flush it.
-        assert fut.result(timeout=5.0) == 5.0
+        assert fut.result(timeout=5.0).tolist() == [5.0]
         stats = batcher.stats()
         assert stats["n_flushes"] == 1 and stats["n_rows_flushed"] == 1
     finally:
@@ -211,9 +211,9 @@ def test_microbatcher_propagates_predict_errors():
 
 def test_microbatcher_close_flushes_pending_and_is_idempotent():
     batcher = MicroBatcher(SumSketch().predict, max_batch_size=100, max_delay_s=30.0)
-    fut = batcher.submit(np.array([[1.0, 1.0]]), scalar=True)
+    fut = batcher.submit(np.array([[1.0, 1.0]]))
     batcher.close()
-    assert fut.result(timeout=1.0) == 2.0
+    assert fut.result(timeout=1.0).tolist() == [2.0]
     batcher.close()  # second close is a no-op
     with pytest.raises(RuntimeError):
         batcher.submit(np.array([[1.0, 1.0]]))
@@ -222,11 +222,11 @@ def test_microbatcher_close_flushes_pending_and_is_idempotent():
 def test_microbatcher_run_sweeps_pending_queue():
     batcher = MicroBatcher(SumSketch().predict, max_batch_size=100, max_delay_s=30.0)
     try:
-        fut = batcher.submit(np.array([[1.0, 2.0]]), scalar=True)
+        fut = batcher.submit(np.array([[1.0, 2.0]]))
         answers = batcher.run(np.array([[10.0, 20.0]]))
         # One flush answered both the queued row and the caller's row.
         assert answers.tolist() == [30.0]
-        assert fut.result(timeout=1.0) == 3.0
+        assert fut.result(timeout=1.0).tolist() == [3.0]
         assert batcher.stats()["n_flushes"] == 1
     finally:
         batcher.close()
@@ -385,15 +385,15 @@ def test_service_serves_a_fitted_neurosketch_object(golden_compiled):
 def test_cancelled_future_does_not_kill_the_batcher():
     batcher = MicroBatcher(SumSketch().predict, max_batch_size=2, max_delay_s=30.0)
     try:
-        doomed = batcher.submit(np.array([[1.0, 1.0]]), scalar=True)
+        doomed = batcher.submit(np.array([[1.0, 1.0]]))
         assert doomed.cancel()
-        live = batcher.submit(np.array([[2.0, 2.0]]), scalar=True)  # size trigger
-        assert live.result(timeout=5.0) == 4.0
+        live = batcher.submit(np.array([[2.0, 2.0]]))  # size trigger
+        assert live.result(timeout=5.0).tolist() == [4.0]
         assert doomed.cancelled()
         # The worker survived the cancelled Future and keeps serving.
-        after = batcher.submit(np.array([[3.0, 3.0]]), scalar=True)
+        after = batcher.submit(np.array([[3.0, 3.0]]))
         assert batcher.run(np.array([[5.0, 5.0]])).tolist() == [10.0]
-        assert after.result(timeout=5.0) == 6.0
+        assert after.result(timeout=5.0).tolist() == [6.0]
     finally:
         batcher.close()
 
@@ -463,13 +463,13 @@ def test_multiple_workers_flush_concurrently():
         # Submit the second block only once the first flush is stalled
         # inside predict; a second worker must pick it up while the first
         # is still blocked — a single-worker batcher would serialize them.
-        futs = [batcher.submit(np.array([[1.0, 0.0]]), scalar=True)]
+        futs = [batcher.submit(np.array([[1.0, 0.0]]))]
         wait_for_flushes(1)
-        futs.append(batcher.submit(np.array([[2.0, 0.0]]), scalar=True))
+        futs.append(batcher.submit(np.array([[2.0, 0.0]])))
         wait_for_flushes(2)
         gate.release()
         gate.release()
-        assert sorted(f.result(timeout=5.0) for f in futs) == [1.0, 2.0]
+        assert sorted(f.result(timeout=5.0)[0] for f in futs) == [1.0, 2.0]
         assert batcher.stats()["workers"] == 2
     finally:
         gate.release()
@@ -585,6 +585,112 @@ def test_cache_key_modes_cannot_alias_each_other():
     assert quantized[:1] == b"q" and exact_fallback[:1] == b"x"
 
 
+# ------------------------------------------------------ vectorised cache keys
+
+
+def _awkward_block() -> np.ndarray:
+    """Rows exercising every key branch: plain, negative zero, non-finite,
+    and scaled components at and beyond the int64 fallback bound."""
+    return np.array(
+        [
+            [0.5, 0.25, -0.125],
+            [-0.0, 0.0, 1e-9],
+            [np.nan, 0.0, 0.0],
+            [np.inf, -np.inf, 0.0],
+            [2.0**62 * 1e-4, 0.0, 0.0],  # scaled exactly 2**62: fallback
+            [(2.0**62 - 2.0**10) * 1e-4, 0.0, 0.0],  # just under it: quantized
+            [3e18, -4e18, 1.0],
+            [0.5, 0.25, -0.125],  # a repeat of row 0
+        ]
+    )
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("namespace", [b"", b"sketch\x00"])
+def test_cache_keys_equal_scalar_key_row_by_row(exact, namespace):
+    cache = AnswerCache(resolution=1e-4, exact=exact)
+    Q = _awkward_block()
+    keys = cache.keys(Q, namespace)
+    assert keys == [cache.key(q, namespace) for q in Q]
+    assert all(k.startswith(namespace) for k in keys)
+    if not exact:
+        modes = [k[len(namespace) : len(namespace) + 1] for k in keys]
+        assert modes == [b"q", b"q", b"x", b"x", b"x", b"q", b"x", b"q"]
+    # A non-contiguous view of the block keys the same.
+    wide = np.repeat(Q, 2, axis=1)[:, ::2]
+    assert cache.keys(wide, namespace) == keys
+
+
+def test_cache_many_ops_match_the_scalar_path():
+    """get_many/put_many leave the same entries, LRU order and hit/miss
+    counters as the same sequence of scalar get/put calls."""
+    Q = _awkward_block()
+    answers = np.arange(Q.shape[0], dtype=np.float64)
+    scalar = AnswerCache(resolution=1e-4, max_entries=5)
+    block = AnswerCache(resolution=1e-4, max_entries=5)
+    ns = b"n\x00"
+    want = [scalar.get(q, ns) for q in Q]
+    for q, a in zip(Q, answers):
+        scalar.put(q, a, ns)
+    want += [scalar.get(q, ns) for q in Q[::-1]]
+    keys = block.keys(Q, ns)
+    got = block.get_many(keys)
+    block.put_many(keys, answers)
+    got += block.get_many(keys[::-1])
+    assert got == want
+    assert block.stats() == scalar.stats()
+    assert list(block._data.items()) == list(scalar._data.items())
+
+
+def test_submit_many_probes_once_and_enqueues_misses_as_one_block():
+    with SketchService(max_delay_s=1e-3) as svc:
+        svc.register("sum", SumSketch())
+        Q = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        svc.ask(Q[1])  # row 1 is cached
+        fut = svc.submit_many(Q)
+        np.testing.assert_array_equal(fut.cached, [False, True, False])
+        np.testing.assert_array_equal(fut.result(timeout=5.0), Q.sum(axis=1))
+        stats = svc.stats()
+        assert stats["batcher"]["n_flushes"] == 2  # the ask, then one block of 2 rows
+        assert stats["batcher"]["n_rows_flushed"] == 3
+        assert (stats["cache"]["hits"], stats["cache"]["misses"]) == (1, 3)
+        again = svc.submit_many(Q)  # every row cached now: resolved, no queue trip
+        assert all(again.cached) and again.done()
+        np.testing.assert_array_equal(again.result(timeout=0), Q.sum(axis=1))
+        assert svc.stats()["batcher"]["n_flushes"] == 2
+
+
+def test_submit_many_without_cache_hands_predict_the_exact_block(golden_compiled):
+    Q = np.random.default_rng(4).uniform(size=(40, golden_compiled.input_dim))
+    with SketchService(cache=False, max_batch_size=1) as svc:
+        svc.register("g", golden_compiled)
+        got = svc.submit_many(Q).result(timeout=10.0)
+    np.testing.assert_array_equal(got, golden_compiled.predict(Q))
+
+
+def test_cancelled_submit_still_caches_the_flushed_answer():
+    """A caller that gives up on a Future (a missed deadline) does not waste
+    the flush: the answer lands in the cache for the next asker."""
+    gate = threading.Event()
+
+    class Gated(SumSketch):
+        def predict(self, Q):
+            gate.wait(5.0)
+            return super().predict(Q)
+
+    with SketchService(max_delay_s=0.0) as svc:
+        svc.register("g", Gated())
+        fut = svc.submit(np.array([1.0, 2.0]))
+        assert fut.cancel()
+        gate.set()
+        svc.flush()
+        deadline = time.monotonic() + 5.0
+        while svc.stats()["cache"]["entries"] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        hit = svc.submit(np.array([1.0, 2.0]))
+        assert hit.cached is True and hit.result(timeout=0) == 3.0
+
+
 # -------------------------------------------------- regression: flush accounting
 
 
@@ -674,8 +780,8 @@ def test_microbatcher_auto_follows_segment_hint():
     )
     try:
         assert batcher.stats()["auto_batch"] is True
-        fut = batcher.submit(np.array([[1.0, 2.0]]), scalar=True)
-        assert fut.result(timeout=5.0) == 3.0
+        fut = batcher.submit(np.array([[1.0, 2.0]]))
+        assert fut.result(timeout=5.0).tolist() == [3.0]
         deadline = time.time() + 2.0
         while batcher.max_batch_size != 16 and time.time() < deadline:
             time.sleep(0.005)
@@ -695,8 +801,8 @@ def test_microbatcher_auto_survives_broken_hint():
         segment_hint=bad_hint,
     )
     try:
-        fut = batcher.submit(np.array([[4.0, 5.0]]), scalar=True)
-        assert fut.result(timeout=5.0) == 9.0  # advisory hint: errors ignored
+        fut = batcher.submit(np.array([[4.0, 5.0]]))
+        assert fut.result(timeout=5.0).tolist() == [9.0]  # advisory hint: errors ignored
         assert batcher.max_batch_size >= 1
     finally:
         batcher.close()

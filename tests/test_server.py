@@ -1,5 +1,6 @@
 """The asyncio socket server: round trips, concurrency parity, robustness."""
 
+import asyncio
 import socket
 import threading
 import time
@@ -16,8 +17,16 @@ from repro.serve import (
     protocol,
     start_server_thread,
 )
+from repro.eval.metrics import normalized_max_abs_diff
 from repro.serve.client import parse_address
-from repro.serve.protocol import ErrorResponse, IngestRequest, QueryRequest
+from repro.serve.protocol import (
+    BatchQueryRequest,
+    ErrorResponse,
+    IngestRequest,
+    QueryRequest,
+    StatsRequest,
+)
+from repro.serve.server import LINE_SLACK, read_frames
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -243,6 +252,139 @@ def test_sketch_exception_reports_internal_error():
         svc.close()
 
 
+def test_oversized_line_counts_as_a_request_and_an_error():
+    """``errors`` can never exceed ``requests``: a line discarded for running
+    past the stream limit counts in both, like every other bad frame."""
+    svc = SketchService(cache=False)
+    svc.register("sum", SumSketch())
+    handle = start_server_thread(svc, max_line_bytes=512)
+    try:
+        with Client.connect(handle.address) as client:
+            client._require_open().sendall(b"[" + b"0.5," * 20_000 + b"0.5]\n")
+            with pytest.raises(ServerError) as excinfo:
+                client._read_response()
+            assert excinfo.value.code == "oversized"
+            server = client.stats()["server"]
+        assert (server["requests"], server["errors"]) == (2, 1)  # the line + the stats frame
+    finally:
+        handle.stop()
+        svc.close()
+
+
+def _read_groups(chunks: list[bytes], tail: bytes, max_line_bytes: int = 64) -> list[list]:
+    """Every group :func:`read_frames` yields for a stream fed ``chunks``
+    (each one only after the group it completes was taken), then ``tail``
+    and EOF."""
+
+    async def run():
+        reader = asyncio.StreamReader(limit=max_line_bytes + LINE_SLACK)
+        frames = read_frames(reader, max_line_bytes)
+        groups = []
+        for chunk in chunks:
+            reader.feed_data(chunk)
+            groups.append(await asyncio.wait_for(frames.__anext__(), 5.0))
+        reader.feed_data(tail)
+        reader.feed_eof()
+        groups.extend([g async for g in frames])
+        return groups
+
+    return asyncio.run(run())
+
+
+def test_read_frames_yields_every_buffered_line_as_one_group():
+    over = b"x" * (64 + LINE_SLACK + 1)
+    groups = _read_groups(
+        [
+            b"a\n\n  \r\nb\r\nc",  # blank lines dropped, "c" waits for its newline
+            b"d\n" + over[:100],  # an over-limit line starts ...
+            over[100:] + b"\ne\n",  # ... and is dropped whole, as one None
+        ],
+        tail=b"tail",  # an unterminated final line counts at EOF
+    )
+    assert groups == [[b"a", b"b"], [b"cd"], [None, b"e"], [b"tail"]]
+
+
+def test_read_frames_drops_an_over_limit_line_cut_by_eof():
+    over = b"x" * (64 + LINE_SLACK + 1)
+    assert _read_groups([b"a\n" + over], tail=b"") == [[b"a"], [None]]
+
+
+# ------------------------------------------------------------ pipelined groups
+
+
+@pytest.mark.parametrize("tier,budget", [("float64", 1e-12), ("float32", 1e-5)])
+def test_pipelined_burst_is_answered_once_per_id_in_few_flushes(golden_compiled, tier, budget):
+    """One write carries 256 query frames with bad, unknown-sketch, stats
+    and batch frames mixed in: every id is answered exactly once with the
+    right code, the answers match in-process ``predict``, and the queries
+    reach the batcher in a handful of blocks, not one per frame."""
+    engine = golden_compiled.with_dtype(tier)
+    Q = np.random.default_rng(11).uniform(0.0, 1.0, size=(256, engine.input_dim))
+    B = Q[:5]
+    frames = [protocol.encode(QueryRequest(q=tuple(q), id=i)) for i, q in enumerate(Q)]
+    extras = {
+        64: "{not json",
+        128: protocol.encode(QueryRequest(q=tuple(Q[0]), id=1000, sketch="nope")),
+        192: protocol.encode(StatsRequest(id=1001)),
+        255: protocol.encode(BatchQueryRequest(q=tuple(map(tuple, B)), id=1002)),
+    }
+    for at in sorted(extras, reverse=True):
+        frames.insert(at, extras[at])
+    svc = SketchService(cache=False, workers=2, max_delay_s=1e-3)
+    svc.register("g", engine)
+    batcher = svc._entries["g"].batcher
+    enqueued: list[int] = []  # rows per micro-batch block
+    submit = batcher.submit
+    batcher.submit = lambda Q: enqueued.append(len(Q)) or submit(Q)
+    handle = start_server_thread(svc)
+    try:
+        with Client.connect(handle.address) as client:
+            flushes0 = client.stats()["batcher"]["n_flushes"]
+            client._require_open().sendall(("\n".join(frames) + "\n").encode())
+            responses = [protocol.decode_response(client._rfile.readline()) for _ in frames]
+            flushes = client.stats()["batcher"]["n_flushes"] - flushes0
+    finally:
+        handle.stop()
+        svc.close()
+    by_id: dict = {}
+    for r in responses:
+        assert r.id not in by_id, f"id {r.id} answered twice"
+        by_id[r.id] = r
+    assert set(by_id) == set(range(256)) | {None, 1000, 1001, 1002}
+    assert (by_id[None].code, by_id[1000].code) == ("bad-json", "unknown-sketch")
+    # Every frame up to the stats frame was counted before it was answered.
+    assert by_id[1001].stats["server"]["requests"] >= frames.index(extras[192]) + 1
+    np.testing.assert_array_equal(by_id[1002].answers, engine.predict(B))
+    got = np.array([by_id[i].answer for i in range(256)])
+    assert normalized_max_abs_diff(got, engine.predict(Q)) <= budget
+    assert flushes <= 8
+    # One block per buffered group, not one per frame.
+    assert sum(enqueued) == 256 and len(enqueued) <= 8
+
+
+def test_group_on_a_slow_sketch_times_out_together_and_the_connection_survives():
+    svc = SketchService(cache=False, max_delay_s=1e-3)
+    svc.register("slow", SlowSketch(delay_s=1.5))
+    svc.register("sum", SumSketch())
+    handle = start_server_thread(svc, request_timeout_s=0.2)
+    try:
+        with Client.connect(handle.address) as client:
+            frames = [
+                protocol.encode(QueryRequest(q=(float(i), 1.0), id=i, sketch="slow"))
+                for i in range(6)
+            ]
+            t0 = time.perf_counter()
+            client._require_open().sendall(("\n".join(frames) + "\n").encode())
+            responses = [protocol.decode_response(client._rfile.readline()) for _ in frames]
+            assert time.perf_counter() - t0 < 1.2  # did not wait out the sketch
+            assert sorted(r.id for r in responses) == list(range(6))
+            assert {r.code for r in responses} == {"timeout"}
+            assert client.ask([2.0, 3.0], sketch="sum") == 5.0
+    finally:
+        handle.stop()
+        svc.close()
+
+
 # ------------------------------------------------------------- shutdown drain
 
 
@@ -269,6 +411,34 @@ def test_stop_with_drain_answers_everything_in_flight():
             response = client._read_response()
             by_id[response.id] = response.answer
         assert by_id == {i: float(i) + 1.0 for i in range(n)}
+    finally:
+        client.close()
+        svc.close()
+
+
+def test_stop_with_drain_answers_a_whole_group_in_flight():
+    """A group caught mid-flush by stop(drain=True) is answered in full: its
+    queries (one micro-batch) and the batch frame riding with them."""
+    sketch = SlowSketch(delay_s=0.3)
+    svc = SketchService(cache=False, max_delay_s=1e-3, workers=1)
+    svc.register("slow", sketch)
+    handle = start_server_thread(svc)
+    client = Client.connect(handle.address)
+    try:
+        n = 32
+        frames = [protocol.encode(QueryRequest(q=(float(i), 1.0), id=i)) for i in range(n)]
+        frames.append(protocol.encode(BatchQueryRequest(q=((1.0, 2.0), (3.0, 4.0)), id=n)))
+        client._require_open().sendall(("\n".join(frames) + "\n").encode())
+        time.sleep(0.1)  # the group is decoded and its block is flushing
+        handle.stop(drain=True)
+        by_id = {}
+        for _ in frames:
+            response = protocol.decode_response(client._rfile.readline())
+            by_id[response.id] = getattr(response, "answer", None) or response.answers
+        assert by_id == {**{i: float(i) + 1.0 for i in range(n)}, n: (3.0, 7.0)}
+        # The 32 queries went to the engine as one block: at most one predict
+        # for them and one for the batch (which may sweep the block up).
+        assert sketch.n_calls <= 2
     finally:
         client.close()
         svc.close()
